@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import kernel
-from .errors import CeilingExceeded, SpinnetError, TriadViolation
+from .errors import CeilingExceeded, InvalidSpin, SpinnetError, TriadViolation
 from .exactnum import Spin
 from .identities import (
     BE_SYMBOL_NAMES,
@@ -82,8 +82,17 @@ def _parse_spins(args, names, twice_mode):
             f"expected {len(names)} spins ({' '.join(names)}), "
             f"got {len(args)}")
     if twice_mode:
-        return [Spin(int(a)) for a in args]
+        return [Spin(_twice_int(a)) for a in args]
     return [Spin.parse(a) for a in args]
+
+
+def _twice_int(text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidSpin(
+            f"cannot parse twice-value {text!r} (expected an integer)"
+        ) from None
 
 
 def _spin_map_arg(text) -> dict[str, Spin]:
@@ -422,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact 6j symbols and projective spin networks "
                     f"(kernel backend: {kernel.backend()})",
         epilog="environment: SPINNET_FACT_CACHE caps the factorial memo "
-               "table; SPINNET_NO_EXT=1 forces the pure-Python kernel")
+               "table")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

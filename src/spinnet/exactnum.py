@@ -14,6 +14,7 @@ import math
 import os
 import re
 import threading
+import warnings
 from fractions import Fraction
 from functools import total_ordering
 
@@ -293,16 +294,35 @@ class FactorialCache:
 
     The table grows on demand under a lock, so concurrent readers are
     safe.  SPINNET_FACT_CACHE caps how many entries are retained; larger
-    arguments are still computed exactly, just not stored.
+    arguments are still computed exactly, just not stored.  A value that
+    is not a non-negative integer falls back to DEFAULT_SIZE with a
+    RuntimeWarning.
     """
+
+    DEFAULT_SIZE = 10_000
 
     def __init__(self, max_size: int | None = None):
         if max_size is None:
-            env = os.environ.get("SPINNET_FACT_CACHE")
-            max_size = int(env) if env else 10_000
+            max_size = self._size_from_env()
         self.max_size = max(max_size, 2)
         self._table = [1, 1]
         self._lock = threading.Lock()
+
+    @classmethod
+    def _size_from_env(cls) -> int:
+        env = os.environ.get("SPINNET_FACT_CACHE")
+        if not env:
+            return cls.DEFAULT_SIZE
+        try:
+            size = int(env)
+            if size >= 0:
+                return size
+        except ValueError:
+            pass
+        warnings.warn(
+            f"SPINNET_FACT_CACHE={env!r} is not a non-negative integer; "
+            f"using {cls.DEFAULT_SIZE}", RuntimeWarning, stacklevel=3)
+        return cls.DEFAULT_SIZE
 
     def __call__(self, n: int) -> int:
         if n < 0:

@@ -4,7 +4,8 @@ The production path evaluates 6j symbols through the Racah single sum;
 here the same values are rebuilt from first principles by contracting
 Wigner 3j symbols over all magnetic quantum numbers.  Everything is
 exact (SqrtRational all the way down), and nothing below imports the
-production kernel.
+production kernel.  sixj_direct_sum keeps the kernel's former
+term-by-term single sum as a reference for the nested (Horner) one.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from fractions import Fraction
 from spinnet.exactnum import SqrtRational, factorial, phase_from_twice
 from spinnet.wigner import triad_valid_twice
 
-__all__ = ["threej", "sixj_via_threej", "sixj_one_zero"]
+__all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum"]
 
 
 def _triangle_sq(tj1, tj2, tj3) -> Fraction:
@@ -108,3 +109,41 @@ def sixj_one_zero(ta, tb, tc) -> SqrtRational:
     sign = phase_from_twice(ta + tb + tc)
     return SqrtRational(sign) * SqrtRational.sqrt(
         Fraction(1, (tb + 1) * (tc + 1)))
+
+
+def _falling(top, bottom):
+    # top! / bottom! for top >= bottom >= 0
+    r = 1
+    for v in range(bottom + 1, top + 1):
+        r *= v
+    return r
+
+
+def sixj_direct_sum(ta, tb, tx, tc, td, ty) -> tuple[Fraction, Fraction]:
+    """{a b x; c d y} = s*sqrt(tri) from the Racah single sum, term by term.
+
+    s is the alternating z-sum, each term rebuilt from falling factorials
+    over the common denominator; tri is the unreduced product of the four
+    squared triangle coefficients.  Triads must be valid.
+    """
+    a = ((ta + tb + tx) // 2, (ta + td + ty) // 2,
+         (tc + tb + ty) // 2, (tc + td + tx) // 2)
+    b = ((ta + tb + tc + td) // 2, (tb + tx + td + ty) // 2,
+         (tx + ta + ty + tc) // 2)
+    zmin, zmax = max(a), min(b)
+    num = 0
+    for z in range(zmin, zmax + 1):
+        t = factorial(z + 1)
+        for ai in a:
+            t *= _falling(zmax - ai, z - ai)
+        for bj in b:
+            t *= _falling(bj - zmin, bj - z)
+        num = num - t if z % 2 else num + t
+    den = 1
+    for ai in a:
+        den *= factorial(zmax - ai)
+    for bj in b:
+        den *= factorial(bj - zmin)
+    tri = (_triangle_sq(ta, tb, tx) * _triangle_sq(ta, td, ty)
+           * _triangle_sq(tc, tb, ty) * _triangle_sq(tc, td, tx))
+    return Fraction(num, den), tri

@@ -44,6 +44,12 @@ class TestSixj:
         code, _, err = run(capsys, "sixj", "[offset]", "0", "0", "0", "0", "0")
         assert code == 2
 
+    def test_bad_twice_value_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sixj", "--twice", "1", "x",
+                             "1", "1", "1", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("spinnet: ") and "'x'" in err
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "sixj", "--format", "json",
                          "1", "1", "1", "1", "1", "1")

@@ -184,6 +184,18 @@ class TestFactorial:
         with pytest.raises(ValueError):
             factorial(-1)
 
+    def test_env_size(self, monkeypatch):
+        monkeypatch.setenv("SPINNET_FACT_CACHE", "20")
+        assert FactorialCache().max_size == 20
+
+    @pytest.mark.parametrize("env", ["abc", "-5", "1.5"])
+    def test_bad_env_size_falls_back(self, monkeypatch, env):
+        monkeypatch.setenv("SPINNET_FACT_CACHE", env)
+        with pytest.warns(RuntimeWarning, match="SPINNET_FACT_CACHE"):
+            cache = FactorialCache()
+        assert cache.max_size == FactorialCache.DEFAULT_SIZE == 10_000
+        assert cache(12) == math.factorial(12)
+
 
 class TestPhase:
     def test_integer_exponents(self):

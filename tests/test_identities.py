@@ -73,6 +73,16 @@ class TestOrthogonality:
         for t in iter_orthogonality_grid(2):
             assert orthogonality_check(*S(*t)).equal
 
+    @pytest.mark.parametrize("twice", [40, 80, 120])
+    @pytest.mark.parametrize("dy", [0, 2])
+    def test_large_spin(self, twice, dy):
+        # long nested z-sums at every x, checked against the identity alone
+        res = orthogonality_check(*S(twice, twice, twice, twice,
+                                     twice, twice + dy))
+        assert res.equal
+        assert res.rhs == (SqrtRational(Fraction(1, twice + 1)) if dy == 0
+                           else SqrtRational(0))
+
 
 class TestPentagon:
     def test_all_zero(self):

@@ -1,15 +1,20 @@
+import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
-from oracles import sixj_one_zero, sixj_via_threej
+from oracles import sixj_direct_sum, sixj_one_zero, sixj_via_threej
+from spinnet import kernel
 from spinnet.errors import InvalidTriads
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.wigner import (
     SixJ,
     TRIAD_SLOTS,
     Triad,
+    admissible_x_twice,
+    invalid_triads_twice,
     sixj_admissible_x,
     sixj_dimension_weight,
     sixj_or_zero,
@@ -134,11 +139,42 @@ class TestDimensionWeight:
 
 
 class TestKernelParity:
-    def test_backends_agree(self):
-        from spinnet import _racah_py
-        try:
-            from spinnet import _racah_c
-        except ImportError:
-            pytest.skip("compiled kernel not built")
+    """The nested (Horner) z-sum against the term-by-term direct sum."""
+
+    @staticmethod
+    def assert_matches_direct_sum(t):
+        num, den, rad = kernel.sixj_raw(*t)
+        s, tri = sixj_direct_sum(*t)
+        assert den > 0 and rad > 0 and gcd(num, den) == 1
+        assert (num > 0) - (num < 0) == (s > 0) - (s < 0)
+        assert Fraction(num, den) ** 2 * rad == s * s * tri
+
+    def test_all_small(self):
+        count = 0
         for t in iter_valid_sixj(5):
-            assert _racah_py.sixj_raw(*t) == _racah_c.sixj_raw(*t)
+            self.assert_matches_direct_sum(t)
+            count += 1
+        assert count > 1000
+
+    def test_random_below_40(self):
+        rng = random.Random(20160428)
+        count = 0
+        while count < 2000:
+            ta, tb, tc, td = (rng.randrange(40) for _ in range(4))
+            xs = [v for v in admissible_x_twice(ta, tb, tc, td) if v < 40]
+            ys = [v for v in admissible_x_twice(tb, tc, ta, td) if v < 40]
+            if xs and ys:
+                self.assert_matches_direct_sum(
+                    (ta, tb, rng.choice(xs), tc, td, rng.choice(ys)))
+                count += 1
+
+    @pytest.mark.parametrize("t", [
+        (200,) * 6,
+        (201, 201, 200, 201, 201, 200),
+        (300, 302, 298, 300, 302, 304),
+        (399, 401, 400, 399, 401, 398),
+        (400,) * 6,
+    ])
+    def test_near_regular_large(self, t):
+        assert not invalid_triads_twice(t)
+        self.assert_matches_direct_sum(t)
