@@ -95,7 +95,7 @@ def _twice_int(text) -> int:
         ) from None
 
 
-def _spin_map_arg(text) -> dict[str, Spin]:
+def _spin_map_arg(text, allowed) -> dict[str, Spin]:
     out = {}
     for item in text.split(","):
         if not item.strip():
@@ -103,7 +103,11 @@ def _spin_map_arg(text) -> dict[str, Spin]:
         if "=" not in item:
             raise SpinnetError(f"bad spin assignment {item!r} (use sym=value)")
         k, v = item.split("=", 1)
-        out[k.strip()] = Spin.parse(v)
+        k = k.strip()
+        if k not in allowed:
+            raise SpinnetError(f"unknown spin symbol {k!r} "
+                               f"(expected one of {', '.join(allowed)})")
+        out[k] = Spin.parse(v)
     return out
 
 
@@ -116,8 +120,11 @@ def verify_grid(max_twice: int, which: str, literal_form: bool = False,
     """Exhaustive verification; returns (records, summary).
 
     which is one of 'orthogonality', 'be', 'pachner-23', 'pachner-14'.
-    Raises CeilingExceeded when max_twice overshoots the runtime guard.
+    Raises CeilingExceeded when max_twice overshoots the runtime guard
+    and SpinnetError when it is negative (an empty grid).
     """
+    if max_twice < 0:
+        raise SpinnetError(f"max twice-value {max_twice} is negative")
     if max_twice > ceiling:
         raise CeilingExceeded(
             f"max twice-value {max_twice} exceeds ceiling {ceiling} "
@@ -264,7 +271,7 @@ def _cmd_verify_pachner(args, out):
     else:
         if args.p_prime is None:
             raise SpinnetError("--move 14 needs --p-prime")
-        pp = Spin(int(args.p_prime)) if args.twice \
+        pp = Spin(_twice_int(args.p_prime)) if args.twice \
             else Spin.parse(args.p_prime)
         res = pachner_14_check(inst, pp)
         instance = _instance_dict(BE_SYMBOL_NAMES + ("p'",),
@@ -321,7 +328,7 @@ def _cmd_cross_section(args, out):
 
 
 def _cmd_label(args, out):
-    spins = _spin_map_arg(args.spins)
+    spins = _spin_map_arg(args.spins, SYMBOLS)
     try:
         lab = label_desargues(spins)
     except TriadViolation as err:
@@ -345,7 +352,7 @@ def _cmd_label(args, out):
 
 
 def _cmd_amplitude(args, out):
-    spins = _spin_map_arg(args.spins)
+    spins = _spin_map_arg(args.spins, SYMBOLS)
     try:
         lab = label_desargues(spins)
     except TriadViolation as err:
@@ -409,7 +416,7 @@ def _cmd_export(args, out):
 
 def _cmd_amplitudes_enumerate(args, out):
     spins = _parse_spins(args.spins, ("a", "b", "c", "d"), args.twice)
-    others = _spin_map_arg(args.others)
+    others = _spin_map_arg(args.others, ("e", "f", "p", "q", "r"))
     quad = canonicalize_quadruple(*spins)
     entries = regularized_enumeration(quad, others)
     data = {
@@ -547,9 +554,6 @@ def main(argv=None) -> int:
     out = _Out(getattr(args, "output", None))
     try:
         code = args.fn(args, out)
-    except CeilingExceeded as err:
-        print(f"spinnet: {err}", file=sys.stderr)
-        return 2
     except SpinnetError as err:
         print(f"spinnet: {err}", file=sys.stderr)
         return 2

@@ -53,6 +53,12 @@ class TriadViolation(SpinnetError):
         self.violations = tuple(violations)
 
 
+class MissingSymbol(SpinnetError, KeyError):
+    """A spin labeling leaves one of its named symbols unassigned."""
+
+    __str__ = SpinnetError.__str__  # the message, without KeyError's quotes
+
+
 class LabelTransferMismatch(SpinnetError):
     """Combinatorial tags of a labeling and a complex do not line up."""
 

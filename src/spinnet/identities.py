@@ -73,7 +73,6 @@ def _derive_triads():
 
 ALL_TRIADS = _derive_triads()
 X_FREE_TRIADS = tuple(t for t in ALL_TRIADS if "x" not in t)
-X_TRIADS = tuple(t for t in ALL_TRIADS if "x" in t)
 assert len(ALL_TRIADS) == 10 and len(X_FREE_TRIADS) == 7
 
 
@@ -109,9 +108,6 @@ class BEInstance:
 
     def twice_tuple(self) -> tuple[int, ...]:
         return tuple(getattr(self, n).twice for n in BE_SYMBOL_NAMES)
-
-    def spin_map(self) -> dict[str, Spin]:
-        return {n: getattr(self, n) for n in BE_SYMBOL_NAMES}
 
     @property
     def phi_twice(self) -> int:

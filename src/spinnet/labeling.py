@@ -9,7 +9,9 @@ symbols on the five tetrahedra, with triads now sitting on triangular
 faces.
 
 The symbol-to-line binding is the static dictionary below; alternative
-bindings are isomorphic relabelings.
+bindings are isomorphic relabelings.  Every labeling shares the one
+configuration built at import, and checks the ten point-triads read
+off it: they are the ten triads of the pentagon identity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import LabelTransferMismatch, TriadViolation
+from .errors import LabelTransferMismatch, MissingSymbol, TriadViolation
 from .exactnum import Spin, SqrtRational
 from .identities import BE_SYMBOL_NAMES, FIVE_SYMBOLS
 from .projective import (
@@ -49,12 +51,33 @@ LINE_TAG_OF_SYMBOL = {
 }
 SYMBOL_OF_LINE_TAG = {v: k for k, v in LINE_TAG_OF_SYMBOL.items()}
 
+DESARGUES = build_desargues()
+# (line, symbol) in line order
+LINE_SYMBOLS = tuple((l, SYMBOL_OF_LINE_TAG[DESARGUES.line_labels[l]])
+                     for l in DESARGUES.lines)
+# (point tag, symbols of the three lines through it), in point/line order
+POINT_TRIADS = tuple(
+    (DESARGUES.point_labels[p],
+     tuple(SYMBOL_OF_LINE_TAG[DESARGUES.line_labels[l]]
+           for l in DESARGUES.lines_through(p)))
+    for p in DESARGUES.points)
+
 
 def _require_all_symbols(spins: Mapping[str, Spin]) -> dict[str, Spin]:
     missing = [s for s in SYMBOLS if s not in spins]
     if missing:
-        raise KeyError(f"missing spin symbols: {', '.join(missing)}")
+        raise MissingSymbol(f"missing spin symbols: {', '.join(missing)}")
     return {s: spins[s] for s in SYMBOLS}
+
+
+def _five_symbols(self) -> tuple[SixJ, ...]:
+    """The five 6j symbols, one per quadrangle or tetrahedron."""
+    return tuple(SixJ(*(self.symbol_spins[n] for n in names))
+                 for names in FIVE_SYMBOLS)
+
+
+def _to_json_dict(self) -> dict:
+    return {"symbol_spins": {s: str(self.symbol_spins[s]) for s in SYMBOLS}}
 
 
 @dataclass(frozen=True)
@@ -65,15 +88,8 @@ class DesarguesSpinLabeling:
     line_spins: dict
     symbol_spins: dict
 
-    def quadrangle_symbols(self) -> tuple[SixJ, ...]:
-        """The five 6j symbols induced by the five quadrangles."""
-        return tuple(
-            SixJ(*(self.symbol_spins[n] for n in names))
-            for names in FIVE_SYMBOLS)
-
-    def to_json_dict(self) -> dict:
-        return {"symbol_spins": {s: str(self.symbol_spins[s])
-                                 for s in SYMBOLS}}
+    quadrangle_symbols = _five_symbols
+    to_json_dict = _to_json_dict
 
 
 @dataclass(frozen=True)
@@ -84,15 +100,8 @@ class SimplexSpinLabeling:
     edge_spins: dict
     symbol_spins: dict
 
-    def tetrahedron_symbols(self) -> tuple[SixJ, ...]:
-        """The five 6j symbols induced by the five tetrahedra."""
-        return tuple(
-            SixJ(*(self.symbol_spins[n] for n in names))
-            for names in FIVE_SYMBOLS)
-
-    def to_json_dict(self) -> dict:
-        return {"symbol_spins": {s: str(self.symbol_spins[s])
-                                 for s in SYMBOLS}}
+    tetrahedron_symbols = _five_symbols
+    to_json_dict = _to_json_dict
 
 
 def label_desargues(spins: Mapping[str, Spin]) -> DesarguesSpinLabeling:
@@ -102,26 +111,17 @@ def label_desargues(spins: Mapping[str, Spin]) -> DesarguesSpinLabeling:
     three symbols meeting there and their spins).
     """
     symbol_spins = _require_all_symbols(spins)
-    structure = build_desargues()
-    line_spins = {}
-    for line in structure.lines:
-        sym = SYMBOL_OF_LINE_TAG[structure.line_labels[line]]
-        line_spins[line] = symbol_spins[sym]
-
-    violations = []
-    for point in structure.points:
-        lines = structure.lines_through(point)
-        syms = tuple(SYMBOL_OF_LINE_TAG[structure.line_labels[l]]
-                     for l in lines)
-        triple = tuple(line_spins[l] for l in lines)
-        if not triad_valid_twice(*(s.twice for s in triple)):
-            violations.append(
-                (structure.point_labels[point], syms, triple))
+    twice = {s: spin.twice for s, spin in symbol_spins.items()}
+    violations = [(tag, (i, j, k),
+                   (symbol_spins[i], symbol_spins[j], symbol_spins[k]))
+                  for tag, (i, j, k) in POINT_TRIADS
+                  if not triad_valid_twice(twice[i], twice[j], twice[k])]
     if violations:
         raise TriadViolation(
             "triads fail at points "
             + ", ".join(v[0] for v in violations), violations)
-    return DesarguesSpinLabeling(structure, line_spins, symbol_spins)
+    line_spins = {l: symbol_spins[s] for l, s in LINE_SYMBOLS}
+    return DesarguesSpinLabeling(DESARGUES, line_spins, symbol_spins)
 
 
 def transfer_labeling(d: DesarguesSpinLabeling,
@@ -180,7 +180,7 @@ def regularized_enumeration(q: CanonicalQuadruple,
     fixed = {"a": q.a, "b": q.b, "c": q.c, "d": q.d}
     for name in ("e", "f", "p", "q", "r"):
         if name not in others:
-            raise KeyError(f"missing spin symbol: {name}")
+            raise MissingSymbol(f"missing spin symbol: {name}")
         fixed[name] = others[name]
 
     x_min, x_max, _, _ = running_range(q)

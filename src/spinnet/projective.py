@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import MalformedLabels
 
@@ -63,7 +64,7 @@ class ConfigurationSignature:
 
 
 class IncidenceStructure:
-    """Finite points and lines with an incidence relation and optional tags."""
+    """Finite points and lines with an incidence relation and read-only tags."""
 
     def __init__(self, points, lines, incidence,
                  point_labels=None, line_labels=None):
@@ -79,8 +80,8 @@ class IncidenceStructure:
         self.points = pts
         self.lines = lns
         self.incidence = inc
-        self.point_labels = dict(point_labels or {})
-        self.line_labels = dict(line_labels or {})
+        self.point_labels = MappingProxyType(dict(point_labels or {}))
+        self.line_labels = MappingProxyType(dict(line_labels or {}))
 
     def lines_through(self, p) -> tuple:
         return tuple(l for l in self.lines if (p, l) in self.incidence)
@@ -93,18 +94,6 @@ class IncidenceStructure:
 
     def line_degree(self, l) -> int:
         return sum(1 for p in self.points if (p, l) in self.incidence)
-
-    def point_by_label(self, tag):
-        for p, t in self.point_labels.items():
-            if t == tag:
-                return p
-        raise KeyError(tag)
-
-    def line_by_label(self, tag):
-        for l, t in self.line_labels.items():
-            if t == tag:
-                return l
-        raise KeyError(tag)
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from spinnet.cli import main, verify_grid
-from spinnet.errors import CeilingExceeded
+from spinnet.errors import CeilingExceeded, SpinnetError
 
 
 def run(capsys, *argv):
@@ -47,6 +47,12 @@ class TestSixj:
     def test_bad_twice_value_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sixj", "--twice", "1", "x",
                              "1", "1", "1", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("spinnet: ") and "'x'" in err
+
+    def test_bad_twice_p_prime_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify-pachner", "--move", "14",
+                             "--twice", "--p-prime", "x", *(["2"] * 9))
         assert code == 2 and out == ""
         assert err.startswith("spinnet: ") and "'x'" in err
 
@@ -131,6 +137,18 @@ class TestVerify:
     def test_verify_grid_degenerate(self):
         records, summary = verify_grid(0, "be")
         assert summary == {"instances": 1, "failures": 0, "which": "be"}
+
+    def test_verify_grid_negative_is_error(self):
+        with pytest.raises(SpinnetError, match="negative"):
+            verify_grid(-1, "be")
+
+    @pytest.mark.parametrize("command, max_twice",
+                             [("verify-orth", "-1"), ("verify-be", "-3")])
+    def test_empty_grid_is_usage_error(self, capsys, command, max_twice):
+        code, out, err = run(capsys, command, "--all",
+                             "--max-twice", max_twice)
+        assert code == 2 and out == ""
+        assert err == f"spinnet: max twice-value {max_twice} is negative\n"
 
     def test_verify_grid_pachner_14(self):
         records, summary = verify_grid(1, "pachner-14")
@@ -221,3 +239,26 @@ class TestLabelAmplitude:
                            "--others", "e=1,f=1,p=1,q=1,r=1")
         data = json.loads(out)
         assert code == 0 and data["states"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("label", "--spins", "a=1"),
+        ("amplitude", "--spins", "a=1"),
+        ("enumerate", "1", "1", "1", "1", "--others", "e=1"),
+    ])
+    def test_missing_symbol_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("spinnet: missing spin symbol")
+
+    @pytest.mark.parametrize("argv", [
+        ("label", "--spins", SPINS + ",zz=3"),
+        ("amplitude", "--spins", SPINS + ",zz=3"),
+        ("enumerate", "1", "1", "1", "1",
+         "--others", "e=1,f=1,p=1,q=1,r=1,zz=3"),
+        ("enumerate", "1", "1", "1", "1",
+         "--others", "a=1,e=1,f=1,p=1,q=1,r=1"),
+    ])
+    def test_unknown_symbol_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("spinnet: unknown spin symbol ")

@@ -5,9 +5,10 @@ import pytest
 
 from spinnet.errors import LabelTransferMismatch, TriadViolation
 from spinnet.exactnum import Spin, SqrtRational
-from spinnet.identities import BEInstance, be_check, iter_be_grid
+from spinnet.identities import ALL_TRIADS, BEInstance, be_check, iter_be_grid
 from spinnet.labeling import (
     LINE_TAG_OF_SYMBOL,
+    POINT_TRIADS,
     SYMBOLS,
     label_desargues,
     network_amplitude,
@@ -36,6 +37,21 @@ class TestDictionary:
     def test_x_on_the_line_avoiding_the_two_rhs_quadrangles(self):
         assert LINE_TAG_OF_SYMBOL["x"] == "[45]"
 
+    def test_point_triads_are_the_pentagon_triads(self):
+        # each point of the configuration is one triad of the pentagon
+        # identity, and each of those triads is met exactly once
+        assert len(POINT_TRIADS) == 10
+        assert {frozenset(syms) for _, syms in POINT_TRIADS} == \
+            {frozenset(t) for t in ALL_TRIADS}
+
+    def test_point_triads_follow_the_configuration(self):
+        d = build_desargues()
+        assert [tag for tag, _ in POINT_TRIADS] == \
+            [d.point_labels[p] for p in d.points]
+        for p, (_, syms) in zip(d.points, POINT_TRIADS):
+            assert tuple(LINE_TAG_OF_SYMBOL[s] for s in syms) == \
+                tuple(d.line_labels[l] for l in d.lines_through(p))
+
 
 class TestLabelDesargues:
     def test_zero_labeling(self):
@@ -54,6 +70,30 @@ class TestLabelDesargues:
         points = {v[0] for v in err.value.violations}
         # line a = [24] passes through the three points avoiding 2 and 4
         assert points == {"(13)", "(15)", "(35)"}
+        # reported in point order, each with its lines in line order
+        assert [v[:2] for v in err.value.violations] == [
+            ("(13)", ("a", "b", "x")), ("(15)", ("p", "a", "d")),
+            ("(35)", ("r", "e", "a"))]
+
+    def test_violation_detail_is_exact(self):
+        spins = constant_map(2)
+        spins["a"] = Spin(0)
+        spins["x"] = Spin(0)
+        with pytest.raises(TriadViolation) as err:
+            label_desargues(spins)
+        assert err.value.violations == (
+            ("(13)", ("a", "b", "x"), (Spin(0), Spin(2), Spin(0))),)
+        assert str(err.value) == "triads fail at points (13)"
+
+    def test_structure_is_shared_and_read_only(self):
+        first = label_desargues(constant_map(0)).structure
+        second = label_desargues(constant_map(2)).structure
+        assert first is second
+        with pytest.raises(TypeError):
+            second.line_labels[0] = "[99]"
+        with pytest.raises(TypeError):
+            second.point_labels[0] = "(99)"
+        assert second.line_labels[0] == "[12]"
 
     def test_missing_symbol(self):
         spins = constant_map(0)
