@@ -23,6 +23,7 @@ from .identities import (
     iter_orthogonality_grid,
     orthogonality_check,
     pachner_14_check,
+    pachner_14_checks,
     pachner_23_check,
 )
 from .labeling import (
@@ -51,6 +52,12 @@ from .symmetry import (
 from .wigner import SixJ, sixj_value
 
 DEFAULT_CEILING = 6
+
+# largest twice-value the single-symbol commands (sixj, orbit and the
+# single-instance verify-* checks) accept, checked before any evaluation;
+# a symbol at the limit takes well under a second, an identity check at
+# the limit sums thousands of symbols.  The library itself has no limit.
+MAX_SINGLE_TWICE = 4000
 
 ORTH_NAMES = ("a", "b", "c", "d", "y", "y'")
 
@@ -86,6 +93,21 @@ def _parse_spins(args, names, twice_mode):
     return [Spin.parse(a) for a in args]
 
 
+def _parse_single(args, names):
+    """_parse_spins for a single-symbol command, within MAX_SINGLE_TWICE."""
+    spins = _parse_spins(args.spins, names, args.twice)
+    _check_single_size(spins)
+    return spins
+
+
+def _check_single_size(spins):
+    for s in spins:
+        if s.twice > MAX_SINGLE_TWICE:
+            raise SpinnetError(
+                f"twice-value {s.twice} exceeds the single-symbol limit "
+                f"{MAX_SINGLE_TWICE}")
+
+
 def _twice_int(text) -> int:
     try:
         return int(text)
@@ -107,12 +129,39 @@ def _spin_map_arg(text, allowed) -> dict[str, Spin]:
         if k not in allowed:
             raise SpinnetError(f"unknown spin symbol {k!r} "
                                f"(expected one of {', '.join(allowed)})")
+        if k in out:
+            raise SpinnetError(f"repeated spin symbol {k!r}")
         out[k] = Spin.parse(v)
     return out
 
 
 def _instance_dict(names, spins) -> dict:
     return {n: str(s) for n, s in zip(names, spins)}
+
+
+def _grid_checks(max_twice, which, literal_form):
+    """(instance record, check result) for every instance of one grid."""
+    if which == "orthogonality":
+        for t in iter_orthogonality_grid(max_twice):
+            spins = [Spin(v) for v in t]
+            yield (_instance_dict(ORTH_NAMES, spins),
+                   orthogonality_check(*spins))
+    elif which in ("be", "pachner-23"):
+        check = be_check if which == "be" else pachner_23_check
+        for t in iter_be_grid(max_twice):
+            spins = [Spin(v) for v in t]
+            yield (_instance_dict(BE_SYMBOL_NAMES, spins),
+                   check(BEInstance(*spins), literal_form=literal_form))
+    elif which == "pachner-14":
+        p_primes = [Spin(tpp) for tpp in range(max_twice + 1)]
+        for t in iter_be_grid(max_twice):
+            spins = [Spin(v) for v in t]
+            rows = pachner_14_checks(BEInstance(*spins), p_primes)
+            for pp, res in zip(p_primes, rows):
+                yield (_instance_dict(BE_SYMBOL_NAMES + ("p'",),
+                                      spins + [pp]), res)
+    else:
+        raise SpinnetError(f"unknown verification grid {which!r}")
 
 
 def verify_grid(max_twice: int, which: str, literal_form: bool = False,
@@ -131,39 +180,11 @@ def verify_grid(max_twice: int, which: str, literal_form: bool = False,
             "(raise it with --ceiling)")
     records = []
     failures = 0
-
-    if which == "orthogonality":
-        for t in iter_orthogonality_grid(max_twice):
-            spins = [Spin(v) for v in t]
-            res = orthogonality_check(*spins)
-            failures += not res.equal
-            rec = {"instance": _instance_dict(ORTH_NAMES, spins)}
-            rec.update(res.to_json_dict())
-            records.append(rec)
-    elif which in ("be", "pachner-23"):
-        check = be_check if which == "be" else pachner_23_check
-        for t in iter_be_grid(max_twice):
-            inst = BEInstance.from_twice(t)
-            res = check(inst, literal_form=literal_form)
-            failures += not res.equal
-            rec = {"instance": _instance_dict(
-                BE_SYMBOL_NAMES, [getattr(inst, n) for n in BE_SYMBOL_NAMES])}
-            rec.update(res.to_json_dict())
-            records.append(rec)
-    elif which == "pachner-14":
-        for t in iter_be_grid(max_twice):
-            inst = BEInstance.from_twice(t)
-            for tpp in range(max_twice + 1):
-                res = pachner_14_check(inst, Spin(tpp))
-                failures += not res.equal
-                rec = {"instance": _instance_dict(
-                    BE_SYMBOL_NAMES + ("p'",),
-                    [getattr(inst, n) for n in BE_SYMBOL_NAMES]
-                    + [Spin(tpp)])}
-                rec.update(res.to_json_dict())
-                records.append(rec)
-    else:
-        raise SpinnetError(f"unknown verification grid {which!r}")
+    for instance, res in _grid_checks(max_twice, which, literal_form):
+        failures += not res.equal
+        rec = {"instance": instance}
+        rec.update(res.to_json_dict())
+        records.append(rec)
 
     if sort_records:
         records.sort(key=lambda r: sorted(r["instance"].items()))
@@ -195,8 +216,7 @@ def _single_result(out, res, instance, fmt):
 
 
 def _cmd_sixj(args, out):
-    spins = _parse_spins(args.spins, ("a", "b", "x", "c", "d", "y"),
-                         args.twice)
+    spins = _parse_single(args, ("a", "b", "x", "c", "d", "y"))
     value = sixj_value(SixJ(*spins))
     if args.format == "json":
         out.write(_dump({
@@ -210,8 +230,7 @@ def _cmd_sixj(args, out):
 
 
 def _cmd_orbit(args, out):
-    spins = _parse_spins(args.spins, ("a", "b", "x", "c", "d", "y"),
-                         args.twice)
+    spins = _parse_single(args, ("a", "b", "x", "c", "d", "y"))
     symbol = SixJ(*spins)
     orbit = sorted(symmetry_orbit(symbol), key=lambda s: s.twice_tuple())
     value = sixj_value(symbol)
@@ -236,7 +255,7 @@ def _cmd_verify_orth(args, out):
                                        ceiling=args.ceiling,
                                        sort_records=args.sorted)
         return _emit_verification(out, records, summary, args.format)
-    spins = _parse_spins(args.spins, ORTH_NAMES, args.twice)
+    spins = _parse_single(args, ORTH_NAMES)
     res = orthogonality_check(*spins)
     return _single_result(out, res, _instance_dict(ORTH_NAMES, spins),
                           args.format)
@@ -249,7 +268,7 @@ def _cmd_verify_be(args, out):
                                        ceiling=args.ceiling,
                                        sort_records=args.sorted)
         return _emit_verification(out, records, summary, args.format)
-    spins = _parse_spins(args.spins, BE_SYMBOL_NAMES, args.twice)
+    spins = _parse_single(args, BE_SYMBOL_NAMES)
     res = be_check(BEInstance(*spins),
                    literal_form=args.literal_paper_form)
     return _single_result(out, res, _instance_dict(BE_SYMBOL_NAMES, spins),
@@ -263,7 +282,7 @@ def _cmd_verify_pachner(args, out):
                                        ceiling=args.ceiling,
                                        sort_records=args.sorted)
         return _emit_verification(out, records, summary, args.format)
-    spins = _parse_spins(args.spins, BE_SYMBOL_NAMES, args.twice)
+    spins = _parse_single(args, BE_SYMBOL_NAMES)
     inst = BEInstance(*spins)
     if args.move == "23":
         res = pachner_23_check(inst)
@@ -273,6 +292,7 @@ def _cmd_verify_pachner(args, out):
             raise SpinnetError("--move 14 needs --p-prime")
         pp = Spin(_twice_int(args.p_prime)) if args.twice \
             else Spin.parse(args.p_prime)
+        _check_single_size([pp])
         res = pachner_14_check(inst, pp)
         instance = _instance_dict(BE_SYMBOL_NAMES + ("p'",),
                                   list(spins) + [pp])
@@ -437,8 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinnet",
         description="Exact 6j symbols and projective spin networks "
                     f"(kernel backend: {kernel.backend()})",
-        epilog="environment: SPINNET_FACT_CACHE caps the factorial memo "
-               "table")
+        epilog=f"limits: sixj, orbit and the single-instance verify-* "
+               f"checks accept twice-values up to {MAX_SINGLE_TWICE}; "
+               "larger ones exit 2.  environment: SPINNET_FACT_CACHE caps "
+               "the factorial memo table")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

@@ -57,10 +57,13 @@ class Spin:
         """Parse 'n' or 'n/2' (e.g. '2', '3/2') into a Spin."""
         s = text.strip()
         m = re.fullmatch(r"(\d+)\s*/\s*2", s)
-        if m:
-            return cls(int(m.group(1)))
-        if re.fullmatch(r"\d+", s):
-            return cls(2 * int(s))
+        try:
+            if m:
+                return cls(int(m.group(1)))
+            if re.fullmatch(r"\d+", s):
+                return cls(2 * int(s))
+        except ValueError:
+            pass  # more digits than int() converts
         raise InvalidSpin(f"cannot parse spin {text!r} (expected 'n' or 'n/2')")
 
     @property
@@ -141,9 +144,14 @@ def _trial_divisors():
 class SqrtRational:
     """The exact value coeff * sqrt(radicand).
 
-    Canonical form: radicand is a square-free non-negative *integer*
-    (denominators are lifted into the coefficient), and radicand == 1
+    Canonical form: coeff is a Fraction and radicand a square-free positive
+    int (denominators are lifted into the coefficient), with radicand == 1
     whenever coeff == 0.  Equal values therefore have equal fields.
+
+    The constructor accepts any rational radicand and splits off its
+    square part; the arithmetic keeps the form without splitting again.
+    Two square-free radicands r1, r2 with g = gcd(r1, r2) multiply to
+    g**2 * (r1/g) * (r2/g), and (r1/g) * (r2/g) is square-free.
     """
 
     __slots__ = ("coeff", "radicand")
@@ -156,13 +164,26 @@ class SqrtRational:
         if c == 0 or r == 0:
             # sqrt(0) collapses to the canonical zero as well
             object.__setattr__(self, "coeff", Fraction(0))
-            object.__setattr__(self, "radicand", Fraction(1))
+            object.__setattr__(self, "radicand", 1)
             return
         # coeff * sqrt(n/d) == (coeff/d) * sqrt(n*d)
         n, d = r.numerator, r.denominator
         s, rad = square_free_split(n * d)
         object.__setattr__(self, "coeff", c * Fraction(s, d))
-        object.__setattr__(self, "radicand", Fraction(rad))
+        object.__setattr__(self, "radicand", rad)
+
+    @classmethod
+    def _canonical(cls, coeff: Fraction, radicand: int) -> "SqrtRational":
+        """coeff * sqrt(radicand) for a square-free radicand, unsplit."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeff", coeff)
+        object.__setattr__(out, "radicand", radicand if coeff else 1)
+        return out
+
+    @classmethod
+    def _from_triple(cls, num: int, den: int, rad: int) -> "SqrtRational":
+        """(num/den) * sqrt(rad) for den > 0 and a square-free rad >= 1."""
+        return cls._canonical(Fraction(num, den), rad)
 
     def __setattr__(self, name, value):
         raise AttributeError("SqrtRational is immutable")
@@ -221,10 +242,7 @@ class SqrtRational:
         return hash((self.coeff, self.radicand))
 
     def __neg__(self):
-        out = object.__new__(SqrtRational)
-        object.__setattr__(out, "coeff", -self.coeff)
-        object.__setattr__(out, "radicand", self.radicand)
-        return out
+        return SqrtRational._canonical(-self.coeff, self.radicand)
 
     def __add__(self, other):
         if not isinstance(other, SqrtRational):
@@ -236,7 +254,7 @@ class SqrtRational:
         if self.radicand != other.radicand:
             raise IncompatibleRadicands(
                 f"cannot add sqrt({self.radicand}) and sqrt({other.radicand}) terms")
-        return SqrtRational(self.coeff + other.coeff, self.radicand)
+        return SqrtRational._canonical(self.coeff + other.coeff, self.radicand)
 
     def __sub__(self, other):
         if not isinstance(other, SqrtRational):
@@ -245,24 +263,28 @@ class SqrtRational:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.coeff * other, self.radicand)
+            return SqrtRational._canonical(self.coeff * other, self.radicand)
         if not isinstance(other, SqrtRational):
             return NotImplemented
-        return SqrtRational(self.coeff * other.coeff,
-                            self.radicand * other.radicand)
+        g = math.gcd(self.radicand, other.radicand)
+        return SqrtRational._canonical(
+            self.coeff * other.coeff * g,
+            (self.radicand // g) * (other.radicand // g))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.coeff / other, self.radicand)
+            return SqrtRational._canonical(self.coeff / other, self.radicand)
         if not isinstance(other, SqrtRational):
             return NotImplemented
         if other.coeff == 0:
             raise ZeroDivisionError("division by zero SqrtRational")
-        # 1/(c*sqrt(r)) == (1/(c*r)) * sqrt(r)
-        return self * SqrtRational(Fraction(1) / (other.coeff * other.radicand),
-                                   other.radicand)
+        # c1*sqrt(g*u) / (c2*sqrt(g*v)) == c1/(c2*v) * sqrt(u*v)
+        g = math.gcd(self.radicand, other.radicand)
+        v = other.radicand // g
+        return SqrtRational._canonical(self.coeff / (other.coeff * v),
+                                       (self.radicand // g) * v)
 
     def to_float(self) -> float:
         """Floating approximation, for display only."""
@@ -271,9 +293,8 @@ class SqrtRational:
     __float__ = to_float
 
     def __str__(self):
-        c, r = self.coeff, self.radicand
-        return (f"{c.numerator}/{c.denominator}"
-                f"*sqrt({r.numerator}/{r.denominator})")
+        c = self.coeff
+        return f"{c.numerator}/{c.denominator}*sqrt({self.radicand}/1)"
 
     def __repr__(self):
         return f"SqrtRational({self.coeff!r}, {self.radicand!r})"

@@ -26,13 +26,14 @@ factor is ever introduced).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import IncompatibleRadicands, InvalidInstance, PhaseParityError
 from .exactnum import Spin, SqrtRational
 from .wigner import (
     TRIAD_SLOTS,
-    sixj_or_zero_twice,
+    ZERO_TRIPLE,
+    sixj_triple_or_zero_twice,
     triad_valid_twice,
 )
 
@@ -45,6 +46,7 @@ __all__ = [
     "be_check",
     "pachner_23_check",
     "pachner_14_check",
+    "pachner_14_checks",
     "iter_orthogonality_grid",
     "iter_be_grid",
 ]
@@ -146,7 +148,61 @@ class ExactCheckResult:
 
 
 def _result(lhs, rhs, form, detail="") -> ExactCheckResult:
-    return ExactCheckResult(lhs, rhs, lhs == rhs, form, detail)
+    # lhs, rhs: canonical triples, so equal values have equal triples
+    return ExactCheckResult(SqrtRational._from_triple(*lhs),
+                            SqrtRational._from_triple(*rhs),
+                            lhs == rhs, form, detail)
+
+
+# Exact values inside the verifiers are (num, den, rad) triples, the
+# kernel's own form: (num/den)*sqrt(rad) with rad square-free.  A
+# product multiplies radicands by the gcd rule r1*r2 = g**2*(r1/g)*(r2/g),
+# g = gcd(r1, r2), so no radicand is ever factored again.
+
+def _product(values, weight=1):
+    """weight * prod(values), unreduced: (num, den, rad) with den > 0."""
+    num, den, rad = weight, 1, 1
+    for n, d, r in values:
+        if not n:
+            return ZERO_TRIPLE
+        g = gcd(rad, r)
+        num *= n * g
+        den *= d
+        rad = (rad // g) * (r // g)
+    return num, den, rad
+
+
+def _reduce(num, den, rad):
+    """The canonical triple of (num/den)*sqrt(rad)."""
+    if not num:
+        return ZERO_TRIPLE
+    g = gcd(num, den)
+    return num // g, den // g, rad
+
+
+def _sum(terms):
+    """Canonical triple of a sum of unreduced triples.
+
+    The terms are accumulated over a common denominator and reduced once.
+    Raises IncompatibleRadicands when two nonzero terms have different
+    radicands.
+    """
+    num, den, rad = 0, 1, None
+    for n, d, r in terms:
+        if not n:
+            continue
+        if rad is None:
+            rad = r
+        elif r != rad:
+            raise IncompatibleRadicands(
+                f"cannot add sqrt({rad}) and sqrt({r}) terms")
+        if den % d:
+            m = lcm(den, d)
+            num = num * (m // den) + n * (m // d)
+            den = m
+        else:
+            num += n * (den // d)
+    return _reduce(num, den, rad)
 
 
 def _x_range(*triad_pairs):
@@ -165,41 +221,47 @@ def _x_range(*triad_pairs):
     return range(lo, hi + 2, 2)
 
 
+def _orthogonality_sides(ta, tb, tc, td, ty, typ):
+    """Both sides of the completeness relation, as canonical triples."""
+    lhs = _sum(
+        _product((sixj_triple_or_zero_twice((ta, tb, tx, tc, td, ty)),
+                  sixj_triple_or_zero_twice((tc, td, tx, ta, tb, typ))),
+                 tx + 1)
+        for tx in _x_range((ta, tb), (tc, td)))
+    if (ty == typ and triad_valid_twice(ta, td, ty)
+            and triad_valid_twice(tb, tc, ty)):
+        rhs = (1, typ + 1, 1)
+    else:
+        rhs = ZERO_TRIPLE
+    return lhs, rhs
+
+
 def orthogonality_check(a: Spin, b: Spin, c: Spin, d: Spin,
                         y: Spin, yp: Spin) -> ExactCheckResult:
     """Exact check of the dimension-weighted completeness relation."""
-    ta, tb, tc, td, ty, typ = (a.twice, b.twice, c.twice, d.twice,
-                               y.twice, yp.twice)
-    lhs = SqrtRational.zero()
-    for tx in _x_range((ta, tb), (tc, td)):
-        term = (sixj_or_zero_twice((ta, tb, tx, tc, td, ty))
-                * sixj_or_zero_twice((tc, td, tx, ta, tb, typ)))
-        lhs = lhs + term * Fraction(tx + 1)
-    if (ty == typ and triad_valid_twice(ta, td, ty)
-            and triad_valid_twice(tb, tc, ty)):
-        rhs = SqrtRational(Fraction(1, typ + 1))
-    else:
-        rhs = SqrtRational.zero()
+    lhs, rhs = _orthogonality_sides(a.twice, b.twice, c.twice, d.twice,
+                                    y.twice, yp.twice)
     return _result(lhs, rhs, "orthogonality")
 
 
 def _be_sides(inst: BEInstance, literal_form: bool):
     ta, tb, tc, td, te, tf, tp, tq, tr = inst.twice_tuple()
     phi = inst.phi_twice
-    lhs = SqrtRational.zero()
+    terms = []
     for tx in _x_range((ta, tb), (tc, td), (te, tf)):
         if (phi + tx) % 2:
             raise PhaseParityError(
                 f"phi + x is half-integral for {inst} at x={tx}/2")
         sign = -1 if ((phi + tx) // 2) % 2 else 1
-        weight = Fraction(sign) if literal_form else Fraction(sign * (tx + 1))
-        term = (sixj_or_zero_twice((ta, tb, tx, tc, td, tp))
-                * sixj_or_zero_twice((tc, td, tx, te, tf, tq))
-                * sixj_or_zero_twice((te, tf, tx, tb, ta, tr)))
-        lhs = lhs + term * weight
-    rhs = (sixj_or_zero_twice((tp, tq, tr, tf, tb, tc))
-           * sixj_or_zero_twice((tp, tq, tr, te, ta, td)))
-    return lhs, rhs
+        terms.append(_product(
+            (sixj_triple_or_zero_twice((ta, tb, tx, tc, td, tp)),
+             sixj_triple_or_zero_twice((tc, td, tx, te, tf, tq)),
+             sixj_triple_or_zero_twice((te, tf, tx, tb, ta, tr))),
+            sign if literal_form else sign * (tx + 1)))
+    rhs = _reduce(*_product(
+        (sixj_triple_or_zero_twice((tp, tq, tr, tf, tb, tc)),
+         sixj_triple_or_zero_twice((tp, tq, tr, te, ta, td)))))
+    return _sum(terms), rhs
 
 
 def be_check(inst: BEInstance, literal_form: bool = False) -> ExactCheckResult:
@@ -230,26 +292,30 @@ def pachner_14_check(inst: BEInstance, p_prime: Spin) -> ExactCheckResult:
             = delta_{pp'} {p' q r; f b c}{p' q r; e a d}
               * delta_(adp') delta_(bcp') / (2p'+1)
     """
+    return pachner_14_checks(inst, (p_prime,))[0]
+
+
+def pachner_14_checks(inst: BEInstance, p_primes) -> list[ExactCheckResult]:
+    """pachner_14_check for each p' in p_primes, sharing one pentagon x-sum."""
     ta, tb, tc, td, te, tf, tp, tq, tr = inst.twice_tuple()
-    tpp = p_prime.twice
-
-    ortho = SqrtRational.zero()
-    for tx in _x_range((ta, tb), (tc, td)):
-        term = (sixj_or_zero_twice((ta, tb, tx, tc, td, tp))
-                * sixj_or_zero_twice((tc, td, tx, ta, tb, tpp)))
-        ortho = ortho + term * Fraction(tx + 1)
     pentagon, _ = _be_sides(inst, literal_form=False)
-    lhs = ortho * pentagon
-
-    if (tp == tpp and triad_valid_twice(ta, td, tpp)
-            and triad_valid_twice(tb, tc, tpp)):
-        rhs = (sixj_or_zero_twice((tpp, tq, tr, tf, tb, tc))
-               * sixj_or_zero_twice((tpp, tq, tr, te, ta, td))
-               * Fraction(1, tpp + 1))
-    else:
-        rhs = SqrtRational.zero()
-    return _result(lhs, rhs, "pachner-1-4",
-                   detail=f"p'={p_prime}, contraction over x and the p slot")
+    out = []
+    for p_prime in p_primes:
+        tpp = p_prime.twice
+        # delta is the orthogonality rhs, delta_{pp'} ... / (2p'+1)
+        ortho, delta = _orthogonality_sides(ta, tb, tc, td, tp, tpp)
+        lhs = _reduce(*_product((ortho, pentagon)))
+        if delta[0]:
+            rhs = _reduce(*_product(
+                (sixj_triple_or_zero_twice((tpp, tq, tr, tf, tb, tc)),
+                 sixj_triple_or_zero_twice((tpp, tq, tr, te, ta, td)),
+                 delta)))
+        else:
+            rhs = ZERO_TRIPLE
+        out.append(_result(
+            lhs, rhs, "pachner-1-4",
+            detail=f"p'={p_prime}, contraction over x and the p slot"))
+    return out
 
 
 def iter_orthogonality_grid(max_twice: int):

@@ -6,6 +6,10 @@ arbitrary-precision integers (see spinnet.kernel); an out-of-triad
 symbol raises InvalidTriads rather than returning 0, so enumeration bugs
 in identity verifiers cannot hide behind silent zeros.  sixj_or_zero is
 the wrapper meant for delta-constrained sum-style formulas.
+
+The value cache holds the kernel's own (num, den, rad) triple.  The
+identity sums read it through sixj_triple_or_zero_twice; the functions
+returning a value wrap it in a SqrtRational without factoring again.
 """
 
 from __future__ import annotations
@@ -137,17 +141,14 @@ def admissible_x_twice(ta, tb, tc, td) -> range:
 
 
 @lru_cache(maxsize=None)
-def _sixj_cached(t: tuple[int, int, int, int, int, int]) -> SqrtRational:
-    num, den, rad = kernel.sixj_raw(*t)
-    out = object.__new__(SqrtRational)
-    object.__setattr__(out, "coeff", Fraction(num, den))
-    object.__setattr__(out, "radicand", Fraction(rad))
-    return out
+def _sixj_cached(t: tuple[int, ...]) -> tuple[int, int, int]:
+    # the kernel's canonical (num, den, rad) triple of a valid symbol
+    return kernel.sixj_raw(*t)
 
 
 def sixj_value(s: SixJ) -> SqrtRational:
     """Exact value of a valid symbol."""
-    return _sixj_cached(s.twice_tuple())
+    return SqrtRational._from_triple(*_sixj_cached(s.twice_tuple()))
 
 
 def sixj_value_twice(t: tuple[int, int, int, int, int, int]) -> SqrtRational:
@@ -156,10 +157,10 @@ def sixj_value_twice(t: tuple[int, int, int, int, int, int]) -> SqrtRational:
     if bad:
         raise InvalidTriads(
             "invalid triads " + ", ".join(str(x) for x in bad), triads=bad)
-    return _sixj_cached(t)
+    return SqrtRational._from_triple(*_sixj_cached(t))
 
 
-_ZERO = SqrtRational(0)
+ZERO_TRIPLE = (0, 1, 1)
 
 
 def sixj_or_zero(a: Spin, b: Spin, x: Spin, c: Spin, d: Spin,
@@ -170,9 +171,18 @@ def sixj_or_zero(a: Spin, b: Spin, x: Spin, c: Spin, d: Spin,
 
 
 def sixj_or_zero_twice(t) -> SqrtRational:
+    return SqrtRational._from_triple(*sixj_triple_or_zero_twice(t))
+
+
+def sixj_triple_or_zero_twice(t) -> tuple[int, int, int]:
+    """(num, den, rad) of the value if all four triads hold, else ZERO_TRIPLE.
+
+    The triple is the exact (num/den)*sqrt(rad) in canonical form:
+    gcd(num, den) == 1, den > 0, rad square-free (1 for zero).
+    """
     for i, j, k in TRIAD_SLOTS:
         if not triad_valid_twice(t[i], t[j], t[k]):
-            return _ZERO
+            return ZERO_TRIPLE
     return _sixj_cached(tuple(t))
 
 

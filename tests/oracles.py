@@ -5,15 +5,22 @@ here the same values are rebuilt from first principles by contracting
 Wigner 3j symbols over all magnetic quantum numbers.  Everything is
 exact (SqrtRational all the way down), and nothing below imports the
 production kernel.  sixj_direct_sum keeps the kernel's former
-term-by-term single sum as a reference for the nested (Horner) one.
+term-by-term single sum as a reference for the nested (Horner) one, and
+the *_sides_split functions keep the former identity sums, which did
+every product and sum on SqrtRational values and renormalised each
+result through the public constructor (square_free_split), as a
+reference for the integer-triple sums of spinnet.identities.
 """
 
 from fractions import Fraction
 
 from spinnet.exactnum import SqrtRational, factorial, phase_from_twice
-from spinnet.wigner import triad_valid_twice
+from spinnet.errors import IncompatibleRadicands, PhaseParityError
+from spinnet.wigner import sixj_or_zero_twice, triad_valid_twice
 
-__all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum"]
+__all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum",
+           "split_mul", "split_add", "orthogonality_sides_split",
+           "pentagon_sides_split", "pachner_14_sides_split"]
 
 
 def _triangle_sq(tj1, tj2, tj3) -> Fraction:
@@ -147,3 +154,78 @@ def sixj_direct_sum(ta, tb, tx, tc, td, ty) -> tuple[Fraction, Fraction]:
     tri = (_triangle_sq(ta, tb, tx) * _triangle_sq(ta, td, ty)
            * _triangle_sq(tc, tb, ty) * _triangle_sq(tc, td, tx))
     return Fraction(num, den), tri
+
+
+def split_mul(u: SqrtRational, v: SqrtRational) -> SqrtRational:
+    """u * v renormalised by factoring the product of the radicands."""
+    return SqrtRational(u.coeff * v.coeff, u.radicand * v.radicand)
+
+
+def split_add(u: SqrtRational, v: SqrtRational) -> SqrtRational:
+    """u + v as the former SqrtRational.__add__ computed it."""
+    if u.coeff == 0:
+        return v
+    if v.coeff == 0:
+        return u
+    if u.radicand != v.radicand:
+        raise IncompatibleRadicands(
+            f"cannot add sqrt({u.radicand}) and sqrt({v.radicand}) terms")
+    return SqrtRational(u.coeff + v.coeff, u.radicand)
+
+
+def _x_twices(*pairs):
+    # twice-values x with (u v x) a triad for every pair (u, v)
+    hi = min(u + v for u, v in pairs)
+    return [tx for tx in range(hi + 1)
+            if all(triad_valid_twice(u, v, tx) for u, v in pairs)]
+
+
+def orthogonality_sides_split(ta, tb, tc, td, ty, typ):
+    """(lhs, rhs) of the completeness relation on SqrtRational values."""
+    lhs = SqrtRational.zero()
+    for tx in _x_twices((ta, tb), (tc, td)):
+        term = split_mul(sixj_or_zero_twice((ta, tb, tx, tc, td, ty)),
+                         sixj_or_zero_twice((tc, td, tx, ta, tb, typ)))
+        lhs = split_add(lhs, split_mul(term, SqrtRational(tx + 1)))
+    if (ty == typ and triad_valid_twice(ta, td, ty)
+            and triad_valid_twice(tb, tc, ty)):
+        rhs = SqrtRational(Fraction(1, typ + 1))
+    else:
+        rhs = SqrtRational.zero()
+    return lhs, rhs
+
+
+def pentagon_sides_split(t9, literal_form=False):
+    """(lhs, rhs) of the pentagon identity on SqrtRational values.
+
+    t9 holds the twice-values of (a, b, c, d, e, f, p, q, r).
+    """
+    ta, tb, tc, td, te, tf, tp, tq, tr = t9
+    phi = sum(t9)
+    lhs = SqrtRational.zero()
+    for tx in _x_twices((ta, tb), (tc, td), (te, tf)):
+        if (phi + tx) % 2:
+            raise PhaseParityError(f"phi + x is half-integral at x={tx}/2")
+        weight = phase_from_twice(phi + tx)
+        if not literal_form:
+            weight *= tx + 1
+        term = split_mul(
+            split_mul(sixj_or_zero_twice((ta, tb, tx, tc, td, tp)),
+                      sixj_or_zero_twice((tc, td, tx, te, tf, tq))),
+            sixj_or_zero_twice((te, tf, tx, tb, ta, tr)))
+        lhs = split_add(lhs, split_mul(term, SqrtRational(weight)))
+    rhs = split_mul(sixj_or_zero_twice((tp, tq, tr, tf, tb, tc)),
+                    sixj_or_zero_twice((tp, tq, tr, te, ta, td)))
+    return lhs, rhs
+
+
+def pachner_14_sides_split(t9, tpp):
+    """(lhs, rhs) of the 1-4 contraction on SqrtRational values."""
+    ta, tb, tc, td, te, tf, tp, tq, tr = t9
+    ortho, delta = orthogonality_sides_split(ta, tb, tc, td, tp, tpp)
+    lhs = split_mul(ortho, pentagon_sides_split(t9)[0])
+    rhs = split_mul(
+        split_mul(sixj_or_zero_twice((tpp, tq, tr, tf, tb, tc)),
+                  sixj_or_zero_twice((tpp, tq, tr, te, ta, td))),
+        delta)
+    return lhs, rhs

@@ -1,9 +1,13 @@
+import hashlib
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
-from spinnet.cli import main, verify_grid
+from spinnet.cli import MAX_SINGLE_TWICE, main, verify_grid
 from spinnet.errors import CeilingExceeded, SpinnetError
+from spinnet.exactnum import SqrtRational
 
 
 def run(capsys, *argv):
@@ -55,6 +59,46 @@ class TestSixj:
                              "--twice", "--p-prime", "x", *(["2"] * 9))
         assert code == 2 and out == ""
         assert err.startswith("spinnet: ") and "'x'" in err
+
+    def test_size_limit_is_usage_error_before_any_work(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sixj", "--twice",
+                             *(["100000"] * 6))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == ("spinnet: twice-value 100000 exceeds the "
+                       f"single-symbol limit {MAX_SINGLE_TWICE}\n")
+
+    def test_size_limit_is_inclusive(self, capsys):
+        top = str(MAX_SINGLE_TWICE)
+        code, out, _ = run(capsys, "sixj", "--twice", top, top, "0",
+                           "0", "0", top)
+        # {j j 0; 0 0 j} = 1/sqrt(2j+1)
+        expected = SqrtRational.sqrt(Fraction(1, MAX_SINGLE_TWICE + 1))
+        assert code == 0 and out == f"{expected}\n"
+        over = str(MAX_SINGLE_TWICE + 2)
+        code, out, _ = run(capsys, "sixj", "--twice", over, over, "0",
+                           "0", "0", over)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("sixj", "50000", "50000", "50000", "50000", "50000", "50000"),
+        ("orbit", "--twice", "2", "2", "2", "2", "2", "100000"),
+        ("verify-orth", "--twice", "2", "2", "2", "2", "2", "100000"),
+        ("verify-be", "--twice", *(["100000"] * 9)),
+        ("verify-pachner", "--move", "23", "--twice", *(["100000"] * 9)),
+        ("verify-pachner", "--move", "14", "--twice",
+         "--p-prime", "100000", *(["2"] * 9)),
+    ])
+    def test_size_limit_single_commands(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "exceeds the single-symbol limit" in err
+
+    def test_size_limit_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert str(MAX_SINGLE_TWICE) in capsys.readouterr().out
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "sixj", "--format", "json",
@@ -262,3 +306,39 @@ class TestLabelAmplitude:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("spinnet: unknown spin symbol ")
+
+    @pytest.mark.parametrize("argv", [
+        ("label", "--spins", "a=1,a=2," + SPINS[4:]),
+        ("amplitude", "--spins", SPINS + ",x=1"),
+        ("enumerate", "1", "1", "1", "1",
+         "--others", "e=1,f=1,p=1,q=1,r=1,e=2"),
+    ])
+    def test_repeated_symbol_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("spinnet: repeated spin symbol ")
+
+
+# sha256 of stdout, and the exit code, of grid and symbol commands,
+# recorded before the identity sums moved to integer triples
+GOLDEN = [
+    (("verify-orth", "--all", "--max-twice", "3", "--format", "json"), 0,
+     "032430819bf7e1731545c9405b7ee6c2422b0670fc8b0694e0941ca7173fc07a"),
+    (("verify-be", "--all", "--max-twice", "2", "--format", "json"), 0,
+     "3d0efe6b96aa3427816da928a28f501112059ab365dc2f6710a891d0635195ff"),
+    (("verify-be", "--all", "--max-twice", "2", "--literal-paper-form"), 1,
+     "d8024c29934abc4aab3d5535967f32b79f20d04d1e30e7587d83ef617e5f31a7"),
+    (("verify-pachner", "--move", "14", "--all", "--max-twice", "2",
+      "--format", "json"), 0,
+     "0669892719cb89aa628625a1b7b13c65928c7714a9725b3e7d44de037b7535b0"),
+    (("sixj", "--twice", "4", "4", "4", "4", "4", "4", "--format", "json"), 0,
+     "c2e8055f9103ba98a4d653034a1e8234bdd4dae1f5a472b72690c8edc325f072"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_bytes(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -43,7 +43,8 @@ class TestSpin:
     def test_parse(self, text, twice):
         assert Spin.parse(text).twice == twice
 
-    @pytest.mark.parametrize("text", ["-1", "3/4", "x", "1.5", ""])
+    @pytest.mark.parametrize("text", ["-1", "3/4", "x", "1.5", "",
+                                      "9" * 5000, "9" * 5000 + "/2"])
     def test_parse_rejects(self, text):
         with pytest.raises(InvalidSpin):
             Spin.parse(text)
@@ -120,6 +121,19 @@ class TestSqrtRational:
         assert v.radicand.denominator == 1
         assert v == SqrtRational(Fraction(1, 2), 2)
 
+    def test_radicand_is_int(self):
+        v = SqrtRational(Fraction(3, 4), Fraction(27, 8))
+        assert type(v.radicand) is int and v.radicand == 6
+        assert repr(v) == "SqrtRational(Fraction(9, 16), 6)"
+        assert type((v * v).radicand) is int
+        assert repr(SqrtRational(0, 5)) == "SqrtRational(Fraction(0, 1), 1)"
+
+    def test_from_triple_keeps_canonical_fields(self):
+        v = SqrtRational._from_triple(-3, 70, 21)
+        assert _fields(v) == (Fraction(-3, 70), 21)
+        assert str(v) == "-3/70*sqrt(21/1)"
+        assert SqrtRational._from_triple(0, 1, 1) == SqrtRational(0)
+
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
             SqrtRational(1, -2)
@@ -168,6 +182,30 @@ def test_mul_commutative(c1, r1, c2, r2):
 def test_mul_associative(c1, r1, c2, r2, c3, r3):
     u, v, w = SqrtRational(c1, r1), SqrtRational(c2, r2), SqrtRational(c3, r3)
     assert (u * v) * w == u * (v * w)
+
+
+def _fields(v):
+    assert type(v.radicand) is int
+    return v.coeff, v.radicand
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_coeffs, _radicands, _coeffs, _radicands)
+def test_gcd_rule_matches_split_construction(c1, r1, c2, r2):
+    # products, quotients and sums keep the canonical form without
+    # factoring; the public constructor factors the unreduced radicand
+    u, v = SqrtRational(c1, r1), SqrtRational(c2, r2)
+    assert _fields(u * v) == _fields(
+        SqrtRational(u.coeff * v.coeff, u.radicand * v.radicand))
+    if v:
+        assert _fields(u / v) == _fields(SqrtRational(
+            u.coeff / v.coeff, Fraction(u.radicand, v.radicand)))
+    w = SqrtRational(c2, u.radicand)
+    assert _fields(u + w) == _fields(
+        SqrtRational(u.coeff + w.coeff, u.radicand))
+    assert _fields(u - w) == _fields(
+        SqrtRational(u.coeff - w.coeff, u.radicand))
+    assert _fields(u * c2) == _fields(SqrtRational(u.coeff * c2, u.radicand))
 
 
 class TestFactorial:

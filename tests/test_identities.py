@@ -1,21 +1,30 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from spinnet.errors import InvalidInstance
+from oracles import (
+    orthogonality_sides_split,
+    pachner_14_sides_split,
+    pentagon_sides_split,
+)
+from spinnet.errors import IncompatibleRadicands, InvalidInstance
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.identities import (
     BEInstance,
     FIVE_SYMBOLS,
     X_FREE_TRIADS,
+    _sum,
     be_check,
     iter_be_grid,
     orthogonality_check,
     pachner_14_check,
+    pachner_14_checks,
     pachner_23_check,
 )
 from spinnet.symmetry import regge_transform
-from spinnet.wigner import SixJ
+from spinnet.wigner import ZERO_TRIPLE, SixJ
 
 
 def S(*twices):
@@ -192,6 +201,16 @@ class TestPachner:
                 assert pachner_14_check(inst, Spin(tpp)).equal
 
 
+class TestTripleSum:
+    def test_unlike_radicands_rejected(self):
+        with pytest.raises(IncompatibleRadicands):
+            _sum([(1, 2, 2), (1, 3, 3)])
+
+    def test_zero_terms_skipped_and_result_reduced(self):
+        assert _sum([(0, 1, 1), (1, 4, 3), (1, 12, 3)]) == (1, 3, 3)
+        assert _sum([(1, 2, 2), (0, 1, 1), (-3, 6, 2)]) == ZERO_TRIPLE
+
+
 class TestResultShape:
     def test_json_record(self):
         res = orthogonality_check(*S(2, 2, 2, 2, 2, 2))
@@ -204,3 +223,88 @@ class TestResultShape:
         assert res.diff == SqrtRational(Fraction(1, 27) - Fraction(1, 36))
         ok = be_check(BEInstance(*S(*(2,) * 9)))
         assert ok.diff == SqrtRational(0)
+
+
+# Differential tests against the former SqrtRational-arithmetic sums
+# (tests/oracles.py), on random instances beyond the exhaustive grids.
+
+MAX_RANDOM_TWICE = 20
+_twices = st.integers(min_value=0, max_value=MAX_RANDOM_TWICE)
+_differential = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+def _couple(*pairs):
+    # twice-values v <= MAX_RANDOM_TWICE with (u w v) a triad for each pair
+    return [v for v in range(MAX_RANDOM_TWICE + 1)
+            if all((u + w + v) % 2 == 0 and abs(u - w) <= v <= u + w
+                   for u, w in pairs)]
+
+
+@st.composite
+def be_instances(draw):
+    """Valid (a, b, c, d, e, f, p, q, r), built through the fixed triads."""
+    tp, tq = draw(_twices), draw(_twices)
+    tr = draw(st.sampled_from(_couple((tp, tq)) or [None]))
+    ta = draw(_twices)
+    td = draw(st.sampled_from(_couple((ta, tp)) or [None]))
+    assume(tr is not None and td is not None)
+    te = draw(st.sampled_from(_couple((ta, tr), (td, tq)) or [None]))
+    tb = draw(_twices)
+    tc = draw(st.sampled_from(_couple((tb, tp)) or [None]))
+    assume(te is not None and tc is not None)
+    tf = draw(st.sampled_from(_couple((tc, tq), (tb, tr)) or [None]))
+    assume(tf is not None)
+    return (ta, tb, tc, td, te, tf, tp, tq, tr)
+
+
+@st.composite
+def orthogonality_tuples(draw):
+    """(a, b, c, d, y, y'), mostly with y and y' admissible for a, b, c, d."""
+    if draw(st.integers(0, 4)) == 0:
+        return tuple(draw(_twices) for _ in range(6))
+    ta, tb, tc = draw(_twices), draw(_twices), draw(_twices)
+    ty = draw(st.sampled_from(_couple((tb, tc))))
+    td = draw(st.sampled_from(_couple((ta, ty)) or [None]))
+    assume(td is not None)
+    typ = draw(st.sampled_from(_couple((tb, tc), (ta, td))))
+    return (ta, tb, tc, td, ty, typ)
+
+
+def _same(res, lhs, rhs):
+    assert (res.lhs.coeff, res.lhs.radicand) == (lhs.coeff, lhs.radicand)
+    assert (res.rhs.coeff, res.rhs.radicand) == (rhs.coeff, rhs.radicand)
+    assert res.equal == (lhs == rhs)
+
+
+class TestOldPathDifferential:
+    @_differential
+    @given(orthogonality_tuples())
+    def test_orthogonality(self, t):
+        res = orthogonality_check(*S(*t))
+        _same(res, *orthogonality_sides_split(*t))
+        assert res.equal
+
+    @_differential
+    @given(be_instances(), st.booleans())
+    def test_pentagon(self, t, literal_form):
+        res = be_check(BEInstance.from_twice(t), literal_form=literal_form)
+        _same(res, *pentagon_sides_split(t, literal_form))
+        if not literal_form:
+            assert res.equal
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(be_instances(), st.booleans(), _twices)
+    def test_pachner_14(self, t, diagonal, tpp):
+        if diagonal:
+            tpp = t[6]
+        res = pachner_14_check(BEInstance.from_twice(t), Spin(tpp))
+        _same(res, *pachner_14_sides_split(t, tpp))
+        assert res.equal
+
+    def test_pachner_14_checks_share_one_pentagon_sum(self):
+        inst = BEInstance(*S(2, 4, 2, 4, 2, 4, 4, 4, 4))
+        p_primes = S(0, 2, 4, 6)
+        rows = pachner_14_checks(inst, p_primes)
+        assert rows == [pachner_14_check(inst, pp) for pp in p_primes]
+        assert [r.equal for r in rows] == [True] * 4
+        assert [bool(r.rhs) for r in rows] == [False, False, True, False]
