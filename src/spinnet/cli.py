@@ -53,10 +53,11 @@ from .wigner import SixJ, sixj_value
 
 DEFAULT_CEILING = 6
 
-# largest twice-value the single-symbol commands (sixj, orbit and the
-# single-instance verify-* checks) accept, checked before any evaluation;
-# a symbol at the limit takes well under a second, an identity check at
-# the limit sums thousands of symbols.  The library itself has no limit.
+# largest twice-value the commands that take given spins (sixj, orbit,
+# amplitude, enumerate and the single-instance verify-* checks) accept,
+# checked before any evaluation; a symbol at the limit takes well under
+# a second, an identity check or an enumeration at the limit evaluates
+# thousands of symbols.  The library itself has no limit.
 MAX_SINGLE_TWICE = 4000
 
 ORTH_NAMES = ("a", "b", "c", "d", "y", "y'")
@@ -165,12 +166,13 @@ def _grid_checks(max_twice, which, literal_form):
 
 
 def verify_grid(max_twice: int, which: str, literal_form: bool = False,
-                ceiling: int = DEFAULT_CEILING, sort_records: bool = False):
-    """Exhaustive verification; returns (records, summary).
+                ceiling: int = DEFAULT_CEILING):
+    """Exhaustive verification: an iterator of records in grid order.
 
     which is one of 'orthogonality', 'be', 'pachner-23', 'pachner-14'.
-    Raises CeilingExceeded when max_twice overshoots the runtime guard
-    and SpinnetError when it is negative (an empty grid).
+    Each record is checked as it is drawn.  Raises CeilingExceeded when
+    max_twice overshoots the runtime guard and SpinnetError when it is
+    negative (an empty grid), both before the first record.
     """
     if max_twice < 0:
         raise SpinnetError(f"max twice-value {max_twice} is negative")
@@ -178,30 +180,27 @@ def verify_grid(max_twice: int, which: str, literal_form: bool = False,
         raise CeilingExceeded(
             f"max twice-value {max_twice} exceeds ceiling {ceiling} "
             "(raise it with --ceiling)")
-    records = []
-    failures = 0
-    for instance, res in _grid_checks(max_twice, which, literal_form):
-        failures += not res.equal
-        rec = {"instance": instance}
-        rec.update(res.to_json_dict())
-        records.append(rec)
-
-    if sort_records:
-        records.sort(key=lambda r: sorted(r["instance"].items()))
-    summary = {"instances": len(records), "failures": failures,
-               "which": which}
-    return records, summary
+    return ({"instance": instance, **res.to_json_dict()}
+            for instance, res in _grid_checks(max_twice, which,
+                                              literal_form))
 
 
-def _emit_verification(out, records, summary, fmt):
-    if fmt == "json":
-        for rec in records:
+def _emit_verification(out, records, which, fmt, sort_records):
+    """Write the records as they come (json), then the summary."""
+    if sort_records and fmt == "json":
+        records = sorted(records, key=lambda r: sorted(r["instance"].items()))
+    instances = failures = 0
+    for rec in records:
+        instances += 1
+        failures += not rec["equal"]
+        if fmt == "json":
             out.write(_line(rec) + "\n")
-        out.write(_line(summary) + "\n")
+    if fmt == "json":
+        out.write(_line({"instances": instances, "failures": failures,
+                         "which": which}) + "\n")
     else:
-        out.write(f"{summary['instances']} instances, "
-                  f"{summary['failures']} failures\n")
-    return 1 if summary["failures"] else 0
+        out.write(f"{instances} instances, {failures} failures\n")
+    return 1 if failures else 0
 
 
 def _single_result(out, res, instance, fmt):
@@ -251,10 +250,10 @@ def _cmd_orbit(args, out):
 
 def _cmd_verify_orth(args, out):
     if args.all:
-        records, summary = verify_grid(args.max_twice, "orthogonality",
-                                       ceiling=args.ceiling,
-                                       sort_records=args.sorted)
-        return _emit_verification(out, records, summary, args.format)
+        records = verify_grid(args.max_twice, "orthogonality",
+                              ceiling=args.ceiling)
+        return _emit_verification(out, records, "orthogonality",
+                                  args.format, args.sorted)
     spins = _parse_single(args, ORTH_NAMES)
     res = orthogonality_check(*spins)
     return _single_result(out, res, _instance_dict(ORTH_NAMES, spins),
@@ -263,11 +262,11 @@ def _cmd_verify_orth(args, out):
 
 def _cmd_verify_be(args, out):
     if args.all:
-        records, summary = verify_grid(args.max_twice, "be",
-                                       literal_form=args.literal_paper_form,
-                                       ceiling=args.ceiling,
-                                       sort_records=args.sorted)
-        return _emit_verification(out, records, summary, args.format)
+        records = verify_grid(args.max_twice, "be",
+                              literal_form=args.literal_paper_form,
+                              ceiling=args.ceiling)
+        return _emit_verification(out, records, "be", args.format,
+                                  args.sorted)
     spins = _parse_single(args, BE_SYMBOL_NAMES)
     res = be_check(BEInstance(*spins),
                    literal_form=args.literal_paper_form)
@@ -278,10 +277,9 @@ def _cmd_verify_be(args, out):
 def _cmd_verify_pachner(args, out):
     which = "pachner-23" if args.move == "23" else "pachner-14"
     if args.all:
-        records, summary = verify_grid(args.max_twice, which,
-                                       ceiling=args.ceiling,
-                                       sort_records=args.sorted)
-        return _emit_verification(out, records, summary, args.format)
+        records = verify_grid(args.max_twice, which, ceiling=args.ceiling)
+        return _emit_verification(out, records, which, args.format,
+                                  args.sorted)
     spins = _parse_single(args, BE_SYMBOL_NAMES)
     inst = BEInstance(*spins)
     if args.move == "23":
@@ -373,6 +371,7 @@ def _cmd_label(args, out):
 
 def _cmd_amplitude(args, out):
     spins = _spin_map_arg(args.spins, SYMBOLS)
+    _check_single_size(spins.values())
     try:
         lab = label_desargues(spins)
     except TriadViolation as err:
@@ -437,6 +436,7 @@ def _cmd_export(args, out):
 def _cmd_amplitudes_enumerate(args, out):
     spins = _parse_spins(args.spins, ("a", "b", "c", "d"), args.twice)
     others = _spin_map_arg(args.others, ("e", "f", "p", "q", "r"))
+    _check_single_size(spins + list(others.values()))
     quad = canonicalize_quadruple(*spins)
     entries = regularized_enumeration(quad, others)
     data = {
@@ -457,10 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinnet",
         description="Exact 6j symbols and projective spin networks "
                     f"(kernel backend: {kernel.backend()})",
-        epilog=f"limits: sixj, orbit and the single-instance verify-* "
-               f"checks accept twice-values up to {MAX_SINGLE_TWICE}; "
-               "larger ones exit 2.  environment: SPINNET_FACT_CACHE caps "
-               "the factorial memo table")
+        epilog="limits: sixj, orbit, amplitude, enumerate and the "
+               "single-instance verify-* checks accept twice-values up "
+               f"to {MAX_SINGLE_TWICE}; larger ones exit 2")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

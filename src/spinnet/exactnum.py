@@ -11,10 +11,8 @@ non-negative integer.
 from __future__ import annotations
 
 import math
-import os
 import re
 import threading
-import warnings
 from fractions import Fraction
 from functools import total_ordering
 
@@ -294,10 +292,34 @@ class SqrtRational:
 
     def __str__(self):
         c = self.coeff
-        return f"{c.numerator}/{c.denominator}*sqrt({self.radicand}/1)"
+        try:
+            return f"{c.numerator}/{c.denominator}*sqrt({self.radicand}/1)"
+        except ValueError:  # a part longer than the int-string limit
+            return (f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+                    f"*sqrt({_decimal(self.radicand)}/1)")
 
     def __repr__(self):
         return f"SqrtRational({self.coeff!r}, {self.radicand!r})"
+
+
+# digits per piece in _decimal: under 640, the least int-string limit
+# sys.set_int_max_str_digits accepts, so any setting converts a piece
+_PIECE_DIGITS = 600
+_PIECE = 10 ** _PIECE_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """str(n) at any size, converted in pieces under the int-string limit.
+
+    The limit stays in force for parsing, where it bounds outside input.
+    """
+    if n < 0:
+        return "-" + _decimal(-n)
+    pieces = []
+    while n >= _PIECE:
+        n, low = divmod(n, _PIECE)
+        pieces.append(f"{low:0{_PIECE_DIGITS}d}")
+    return str(n) + "".join(reversed(pieces))
 
 
 def sqrt_rational_mul(u: SqrtRational, v: SqrtRational) -> SqrtRational:
@@ -314,36 +336,16 @@ class FactorialCache:
     """Memoized arbitrary-precision factorials.
 
     The table grows on demand under a lock, so concurrent readers are
-    safe.  SPINNET_FACT_CACHE caps how many entries are retained; larger
-    arguments are still computed exactly, just not stored.  A value that
-    is not a non-negative integer falls back to DEFAULT_SIZE with a
-    RuntimeWarning.
+    safe.  It keeps at most max_size entries (DEFAULT_SIZE unless given);
+    larger arguments are still computed exactly, just not stored.
     """
 
     DEFAULT_SIZE = 10_000
 
-    def __init__(self, max_size: int | None = None):
-        if max_size is None:
-            max_size = self._size_from_env()
+    def __init__(self, max_size: int = DEFAULT_SIZE):
         self.max_size = max(max_size, 2)
         self._table = [1, 1]
         self._lock = threading.Lock()
-
-    @classmethod
-    def _size_from_env(cls) -> int:
-        env = os.environ.get("SPINNET_FACT_CACHE")
-        if not env:
-            return cls.DEFAULT_SIZE
-        try:
-            size = int(env)
-            if size >= 0:
-                return size
-        except ValueError:
-            pass
-        warnings.warn(
-            f"SPINNET_FACT_CACHE={env!r} is not a non-negative integer; "
-            f"using {cls.DEFAULT_SIZE}", RuntimeWarning, stacklevel=3)
-        return cls.DEFAULT_SIZE
 
     def __call__(self, n: int) -> int:
         if n < 0:

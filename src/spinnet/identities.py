@@ -33,7 +33,8 @@ from .exactnum import Spin, SqrtRational
 from .wigner import (
     TRIAD_SLOTS,
     ZERO_TRIPLE,
-    sixj_triple_or_zero_twice,
+    _sixj_cached,
+    admissible_x_twice,
     triad_valid_twice,
 )
 
@@ -205,35 +206,21 @@ def _sum(terms):
     return _reduce(num, den, rad)
 
 
-def _x_range(*triad_pairs):
-    """Joint admissible twice-range for a slot appearing in given pairs."""
-    parity = None
-    lo, hi = 0, None
-    for u, v in triad_pairs:
-        if parity is None:
-            parity = (u + v) % 2
-        elif (u + v) % 2 != parity:
-            return range(0)
-        lo = max(lo, abs(u - v))
-        hi = min(hi, u + v) if hi is not None else u + v
-    if hi is None or lo > hi:
-        return range(0)
-    return range(lo, hi + 2, 2)
-
-
 def _orthogonality_sides(ta, tb, tc, td, ty, typ):
     """Both sides of the completeness relation, as canonical triples."""
+    # (ady) (bcy) (ady') (bcy') are the y-triads of the two symbols: if
+    # one fails, every term has a zero factor and the delta is zero
+    if not (triad_valid_twice(ta, td, ty) and triad_valid_twice(tb, tc, ty)
+            and triad_valid_twice(ta, td, typ)
+            and triad_valid_twice(tb, tc, typ)):
+        return ZERO_TRIPLE, ZERO_TRIPLE
+    # x runs over (abx) and (cdx), so both symbols are admissible
     lhs = _sum(
-        _product((sixj_triple_or_zero_twice((ta, tb, tx, tc, td, ty)),
-                  sixj_triple_or_zero_twice((tc, td, tx, ta, tb, typ))),
+        _product((_sixj_cached((ta, tb, tx, tc, td, ty)),
+                  _sixj_cached((tc, td, tx, ta, tb, typ))),
                  tx + 1)
-        for tx in _x_range((ta, tb), (tc, td)))
-    if (ty == typ and triad_valid_twice(ta, td, ty)
-            and triad_valid_twice(tb, tc, ty)):
-        rhs = (1, typ + 1, 1)
-    else:
-        rhs = ZERO_TRIPLE
-    return lhs, rhs
+        for tx in admissible_x_twice(ta, tb, tc, td))
+    return lhs, ((1, typ + 1, 1) if ty == typ else ZERO_TRIPLE)
 
 
 def orthogonality_check(a: Spin, b: Spin, c: Spin, d: Spin,
@@ -248,19 +235,21 @@ def _be_sides(inst: BEInstance, literal_form: bool):
     ta, tb, tc, td, te, tf, tp, tq, tr = inst.twice_tuple()
     phi = inst.phi_twice
     terms = []
-    for tx in _x_range((ta, tb), (tc, td), (te, tf)):
+    # BEInstance holds the seven fixed triads and x runs over (abx) (cdx)
+    # (efx), so all ten triads of the five symbols hold
+    for tx in admissible_x_twice(ta, tb, tc, td, te, tf):
         if (phi + tx) % 2:
             raise PhaseParityError(
                 f"phi + x is half-integral for {inst} at x={tx}/2")
         sign = -1 if ((phi + tx) // 2) % 2 else 1
         terms.append(_product(
-            (sixj_triple_or_zero_twice((ta, tb, tx, tc, td, tp)),
-             sixj_triple_or_zero_twice((tc, td, tx, te, tf, tq)),
-             sixj_triple_or_zero_twice((te, tf, tx, tb, ta, tr))),
+            (_sixj_cached((ta, tb, tx, tc, td, tp)),
+             _sixj_cached((tc, td, tx, te, tf, tq)),
+             _sixj_cached((te, tf, tx, tb, ta, tr))),
             sign if literal_form else sign * (tx + 1)))
     rhs = _reduce(*_product(
-        (sixj_triple_or_zero_twice((tp, tq, tr, tf, tb, tc)),
-         sixj_triple_or_zero_twice((tp, tq, tr, te, ta, td)))))
+        (_sixj_cached((tp, tq, tr, tf, tb, tc)),
+         _sixj_cached((tp, tq, tr, te, ta, td)))))
     return _sum(terms), rhs
 
 
@@ -297,21 +286,16 @@ def pachner_14_check(inst: BEInstance, p_prime: Spin) -> ExactCheckResult:
 
 def pachner_14_checks(inst: BEInstance, p_primes) -> list[ExactCheckResult]:
     """pachner_14_check for each p' in p_primes, sharing one pentagon x-sum."""
-    ta, tb, tc, td, te, tf, tp, tq, tr = inst.twice_tuple()
-    pentagon, _ = _be_sides(inst, literal_form=False)
+    ta, tb, tc, td, _, _, tp, _, _ = inst.twice_tuple()
+    pentagon, two_symbols = _be_sides(inst, literal_form=False)
     out = []
     for p_prime in p_primes:
-        tpp = p_prime.twice
-        # delta is the orthogonality rhs, delta_{pp'} ... / (2p'+1)
-        ortho, delta = _orthogonality_sides(ta, tb, tc, td, tp, tpp)
+        # delta is the orthogonality rhs, delta_{pp'} ... / (2p'+1); it
+        # is nonzero only at p' = p, where the right-hand symbols are the
+        # pentagon's own two
+        ortho, delta = _orthogonality_sides(ta, tb, tc, td, tp, p_prime.twice)
         lhs = _reduce(*_product((ortho, pentagon)))
-        if delta[0]:
-            rhs = _reduce(*_product(
-                (sixj_triple_or_zero_twice((tpp, tq, tr, tf, tb, tc)),
-                 sixj_triple_or_zero_twice((tpp, tq, tr, te, ta, td)),
-                 delta)))
-        else:
-            rhs = ZERO_TRIPLE
+        rhs = _reduce(*_product((two_symbols, delta)))
         out.append(_result(
             lhs, rhs, "pachner-1-4",
             detail=f"p'={p_prime}, contraction over x and the p slot"))

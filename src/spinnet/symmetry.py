@@ -295,14 +295,12 @@ def running_range(q: CanonicalQuadruple) -> tuple[Spin, Spin, Spin, Spin]:
     """(x_min, x_max, y_min, y_max) for the two running entries.
 
     x couples through (abx) and (cdx), y through (ady) and (bcy); for a
-    canonical quadruple both widths equal 2a.
+    canonical quadruple neither range is empty and both widths equal 2a.
     """
     ta, tb, tc, td = q.twice_tuple()
-    x_lo = max(abs(ta - tb), abs(tc - td))
-    x_hi = min(ta + tb, tc + td)
-    y_lo = max(abs(ta - td), abs(tb - tc))
-    y_hi = min(ta + td, tb + tc)
-    return (Spin(x_lo), Spin(x_hi), Spin(y_lo), Spin(y_hi))
+    xs = admissible_x_twice(ta, tb, tc, td)
+    ys = admissible_x_twice(ta, td, tb, tc)
+    return (Spin(xs[0]), Spin(xs[-1]), Spin(ys[0]), Spin(ys[-1]))
 
 
 @dataclass(frozen=True)

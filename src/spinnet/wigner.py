@@ -8,8 +8,9 @@ in identity verifiers cannot hide behind silent zeros.  sixj_or_zero is
 the wrapper meant for delta-constrained sum-style formulas.
 
 The value cache holds the kernel's own (num, den, rad) triple.  The
-identity sums read it through sixj_triple_or_zero_twice; the functions
-returning a value wrap it in a SqrtRational without factoring again.
+identity sums read it straight from _sixj_cached, because every symbol
+they look up is admissible by construction; the functions returning a
+value wrap it in a SqrtRational without factoring again.
 """
 
 from __future__ import annotations
@@ -131,18 +132,31 @@ def sixj_admissible_x(a: Spin, b: Spin, c: Spin, d: Spin) -> list[Spin]:
                                                 c.twice, d.twice)]
 
 
-def admissible_x_twice(ta, tb, tc, td) -> range:
-    """Twice-values of the admissible x range (empty on parity mismatch)."""
-    if (ta + tb) % 2 != (tc + td) % 2:
-        return range(0)
-    lo = max(abs(ta - tb), abs(tc - td))
-    hi = min(ta + tb, tc + td)
-    return range(lo, hi + 2, 2) if lo <= hi else range(0)
+def admissible_x_twice(*twice) -> range:
+    """Twice-values x, ascending, with every (u v x) a triad.
+
+    twice lists the (u, v) pairs as consecutive twice-values, u1, v1,
+    u2, v2, ...; the range is empty when the pairs' parities clash or
+    their intervals miss each other.
+    """
+    lo, hi = 0, twice[0] + twice[1]
+    pairs = iter(twice)
+    for u, v in zip(pairs, pairs):
+        s, d = u + v, abs(u - v)
+        if (s - hi) % 2:
+            return range(0)
+        if s < hi:
+            hi = s
+        if d > lo:
+            lo = d
+    # one parity throughout, so lo > hi means lo >= hi + 2: empty
+    return range(lo, hi + 2, 2)
 
 
 @lru_cache(maxsize=None)
 def _sixj_cached(t: tuple[int, ...]) -> tuple[int, int, int]:
-    # the kernel's canonical (num, den, rad) triple of a valid symbol
+    # the kernel's (num, den, rad) triple of a valid symbol, canonical:
+    # gcd(num, den) == 1, den > 0, rad square-free (1 for zero)
     return kernel.sixj_raw(*t)
 
 
@@ -171,19 +185,9 @@ def sixj_or_zero(a: Spin, b: Spin, x: Spin, c: Spin, d: Spin,
 
 
 def sixj_or_zero_twice(t) -> SqrtRational:
-    return SqrtRational._from_triple(*sixj_triple_or_zero_twice(t))
-
-
-def sixj_triple_or_zero_twice(t) -> tuple[int, int, int]:
-    """(num, den, rad) of the value if all four triads hold, else ZERO_TRIPLE.
-
-    The triple is the exact (num/den)*sqrt(rad) in canonical form:
-    gcd(num, den) == 1, den > 0, rad square-free (1 for zero).
-    """
-    for i, j, k in TRIAD_SLOTS:
-        if not triad_valid_twice(t[i], t[j], t[k]):
-            return ZERO_TRIPLE
-    return _sixj_cached(tuple(t))
+    if invalid_triads_twice(t):
+        return SqrtRational._from_triple(*ZERO_TRIPLE)
+    return SqrtRational._from_triple(*_sixj_cached(tuple(t)))
 
 
 def sixj_dimension_weight(j: Spin) -> Fraction:

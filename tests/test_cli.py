@@ -1,13 +1,18 @@
 import hashlib
 import json
+import math
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import spinnet.cli
 from spinnet.cli import MAX_SINGLE_TWICE, main, verify_grid
-from spinnet.errors import CeilingExceeded, SpinnetError
-from spinnet.exactnum import SqrtRational
+from spinnet.errors import CeilingExceeded, InvalidSpin, SpinnetError
+from spinnet.exactnum import Spin, SqrtRational
+from spinnet.identities import iter_be_grid
+from spinnet.labeling import SYMBOLS, label_desargues, network_amplitude
 
 
 def run(capsys, *argv):
@@ -172,15 +177,50 @@ class TestVerify:
         assert code == 2 and "ceiling" in err
 
     def test_verify_grid_api(self):
-        records, summary = verify_grid(1, "be")
-        assert summary["failures"] == 0
-        assert summary["instances"] == len(records)
+        records = list(verify_grid(1, "be"))
+        assert all(r["equal"] for r in records)
+        assert len(records) == len(list(iter_be_grid(1)))
         with pytest.raises(CeilingExceeded):
             verify_grid(7, "be")
 
-    def test_verify_grid_degenerate(self):
-        records, summary = verify_grid(0, "be")
-        assert summary == {"instances": 1, "failures": 0, "which": "be"}
+    def test_verify_grid_degenerate(self, capsys):
+        records = list(verify_grid(0, "be"))
+        assert len(records) == 1 and records[0]["equal"]
+        code, out, _ = run(capsys, "verify-be", "--all", "--max-twice", "0",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out.splitlines()[-1]) == {
+            "instances": 1, "failures": 0, "which": "be"}
+
+    def test_verify_grid_streams(self, monkeypatch):
+        calls = []
+        check = spinnet.cli.orthogonality_check
+        monkeypatch.setattr(spinnet.cli, "orthogonality_check",
+                            lambda *spins: calls.append(spins) or check(*spins))
+        records = verify_grid(2, "orthogonality")
+        assert calls == []
+        first = next(records)
+        assert len(calls) == 1 and first["equal"]
+        assert first["instance"] == dict.fromkeys(
+            ("a", "b", "c", "d", "y", "y'"), "0")
+
+    def test_cli_writes_each_record_as_checked(self, capsys, monkeypatch):
+        # the output seen at each check: records before it, no summary
+        seen = []
+        check = spinnet.cli.orthogonality_check
+
+        def spy(*spins):
+            seen.append(capsys.readouterr().out)
+            return check(*spins)
+
+        monkeypatch.setattr(spinnet.cli, "orthogonality_check", spy)
+        code, out, _ = run(capsys, "verify-orth", "--all", "--max-twice",
+                           "1", "--format", "json")
+        lines = "".join(seen + [out]).splitlines()
+        assert code == 0 and len(seen) == len(lines) - 1 == 64
+        assert seen[0] == "" and seen[1] == lines[0] + "\n"
+        assert all(s.count("\n") == 1 for s in seen[1:])
+        assert json.loads(lines[-1])["instances"] == 64
 
     def test_verify_grid_negative_is_error(self):
         with pytest.raises(SpinnetError, match="negative"):
@@ -195,8 +235,8 @@ class TestVerify:
         assert err == f"spinnet: max twice-value {max_twice} is negative\n"
 
     def test_verify_grid_pachner_14(self):
-        records, summary = verify_grid(1, "pachner-14")
-        assert summary["failures"] == 0 and summary["instances"] > 0
+        records = list(verify_grid(1, "pachner-14"))
+        assert records and all(r["equal"] for r in records)
 
 
 class TestStructures:
@@ -283,6 +323,44 @@ class TestLabelAmplitude:
                            "--others", "e=1,f=1,p=1,q=1,r=1")
         data = json.loads(out)
         assert code == 0 and data["states"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("amplitude", "--spins", SPINS.replace("a=1", "a=4001/2")),
+        ("enumerate", "--twice", "4001", "2", "2", "2",
+         "--others", "e=1,f=1,p=1,q=1,r=1"),
+        ("enumerate", "1", "1", "1", "1",
+         "--others", "e=1,f=1,p=1,q=1,r=4001/2"),
+        ("enumerate", "5000", "5000", "5000", "5000",
+         "--others", "e=5000,f=5000,p=5000,q=5000,r=5000"),
+    ])
+    def test_size_limit_is_usage_error_before_any_work(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "exceeds the single-symbol limit" in err
+
+    def test_amplitude_at_the_limit_prints_in_full(self, capsys):
+        top = {s: Spin(MAX_SINGLE_TWICE) for s in SYMBOLS}
+        argv = ("amplitude", "--spins",
+                ",".join(f"{s}={v}" for s, v in top.items()))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out) > 15000
+        expected = network_amplitude(label_desargues(top))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert SqrtRational.parse(out) == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        data = json.loads(out)
+        assert code == 0 and data["amplitude"] == str(expected)
+        assert math.isclose(data["approx"], expected.to_float())
+        # printing in full leaves the int-string limit that bounds parsing
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(InvalidSpin):
+            Spin.parse("9" * 5000)
 
     @pytest.mark.parametrize("argv", [
         ("label", "--spins", "a=1"),

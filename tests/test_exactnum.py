@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,21 @@ class TestSqrtRational:
         assert type((v * v).radicand) is int
         assert repr(SqrtRational(0, 5)) == "SqrtRational(Fraction(0, 1), 1)"
 
+    @pytest.mark.parametrize("power", [600, 4400, 9000])
+    def test_str_beyond_the_int_string_limit(self, power):
+        v = SqrtRational._from_triple(-(10**power) - 1, 7**power, 2)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            c = v.coeff
+            expected = f"{c.numerator}/{c.denominator}*sqrt(2/1)"
+            # pieces convert under the least limit the interpreter allows
+            sys.set_int_max_str_digits(640)
+            assert str(v) == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(v) == expected
+
     def test_from_triple_keeps_canonical_fields(self):
         v = SqrtRational._from_triple(-3, 70, 21)
         assert _fields(v) == (Fraction(-3, 70), 21)
@@ -221,18 +237,6 @@ class TestFactorial:
     def test_negative(self):
         with pytest.raises(ValueError):
             factorial(-1)
-
-    def test_env_size(self, monkeypatch):
-        monkeypatch.setenv("SPINNET_FACT_CACHE", "20")
-        assert FactorialCache().max_size == 20
-
-    @pytest.mark.parametrize("env", ["abc", "-5", "1.5"])
-    def test_bad_env_size_falls_back(self, monkeypatch, env):
-        monkeypatch.setenv("SPINNET_FACT_CACHE", env)
-        with pytest.warns(RuntimeWarning, match="SPINNET_FACT_CACHE"):
-            cache = FactorialCache()
-        assert cache.max_size == FactorialCache.DEFAULT_SIZE == 10_000
-        assert cache(12) == math.factorial(12)
 
 
 class TestPhase:

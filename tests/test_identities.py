@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     pachner_14_sides_split,
     pentagon_sides_split,
 )
+from spinnet import identities
 from spinnet.errors import IncompatibleRadicands, InvalidInstance
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.identities import (
@@ -18,13 +20,14 @@ from spinnet.identities import (
     _sum,
     be_check,
     iter_be_grid,
+    iter_orthogonality_grid,
     orthogonality_check,
     pachner_14_check,
     pachner_14_checks,
     pachner_23_check,
 )
 from spinnet.symmetry import regge_transform
-from spinnet.wigner import ZERO_TRIPLE, SixJ
+from spinnet.wigner import ZERO_TRIPLE, SixJ, invalid_triads_twice
 
 
 def S(*twices):
@@ -225,8 +228,58 @@ class TestResultShape:
         assert ok.diff == SqrtRational(0)
 
 
+@contextmanager
+def admissible_lookups():
+    """Assert that every symbol the identity sums look up is admissible.
+
+    The sums read the value cache with no triad filter; yields the set
+    of symbols looked up.
+    """
+    seen = set()
+    cached = identities._sixj_cached
+
+    def checked(t):
+        assert invalid_triads_twice(t) == [], t
+        seen.add(t)
+        return cached(t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "_sixj_cached", checked)
+        yield seen
+
+
+class TestLookupsAreAdmissible:
+    def test_orthogonality_grid_twice_4(self):
+        with admissible_lookups() as seen:
+            for t in iter_orthogonality_grid(4):
+                orthogonality_check(*S(*t))
+        assert len(seen) > 500
+
+    def test_pentagon_grid_twice_3(self):
+        with admissible_lookups() as seen:
+            for t in iter_be_grid(3):
+                inst = BEInstance.from_twice(t)
+                be_check(inst)
+                be_check(inst, literal_form=True)
+        assert len(seen) > 500
+
+    def test_pachner_14_grid_twice_2(self):
+        p_primes = S(0, 1, 2)
+        with admissible_lookups() as seen:
+            for t in iter_be_grid(2):
+                pachner_14_checks(BEInstance.from_twice(t), p_primes)
+        assert len(seen) > 100
+
+
+@pytest.fixture(scope="class")
+def checked_lookups():
+    with admissible_lookups() as seen:
+        yield seen
+
+
 # Differential tests against the former SqrtRational-arithmetic sums
-# (tests/oracles.py), on random instances beyond the exhaustive grids.
+# (tests/oracles.py), on random instances beyond the exhaustive grids,
+# with every cache lookup checked as in TestLookupsAreAdmissible.
 
 MAX_RANDOM_TWICE = 20
 _twices = st.integers(min_value=0, max_value=MAX_RANDOM_TWICE)
@@ -276,6 +329,7 @@ def _same(res, lhs, rhs):
     assert res.equal == (lhs == rhs)
 
 
+@pytest.mark.usefixtures("checked_lookups")
 class TestOldPathDifferential:
     @_differential
     @given(orthogonality_tuples())

@@ -4,6 +4,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import sixj_direct_sum, sixj_one_zero, sixj_via_threej
 from spinnet import kernel
@@ -72,6 +74,15 @@ class TestAdmissibleX:
 
     def test_parity_mismatch_empty(self):
         assert sixj_admissible_x(Spin(1), Spin(0), Spin(0), Spin(0)) == []
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                    min_size=1, max_size=3))
+    def test_any_number_of_pairs_matches_brute_force(self, pairs):
+        brute = [x for x in range(26)
+                 if all(triad_valid_twice(u, v, x) for u, v in pairs)]
+        flat = [v for pair in pairs for v in pair]
+        assert list(admissible_x_twice(*flat)) == brute
 
 
 def _sq(t):
