@@ -18,12 +18,15 @@ from .exactnum import Spin
 from .identities import (
     BE_SYMBOL_NAMES,
     BEInstance,
+    _be_form,
+    _be_sides,
+    _pachner_14_sides,
+    _result,
     be_check,
     iter_be_grid,
     iter_orthogonality_grid,
     orthogonality_check,
     pachner_14_check,
-    pachner_14_checks,
     pachner_23_check,
 )
 from .labeling import (
@@ -147,20 +150,22 @@ def _grid_checks(max_twice, which, literal_form):
             spins = [Spin(v) for v in t]
             yield (_instance_dict(ORTH_NAMES, spins),
                    orthogonality_check(*spins))
-    elif which in ("be", "pachner-23"):
-        check = be_check if which == "be" else pachner_23_check
+    elif which in ("be", "pachner-23", "pachner-14"):
+        # grid tuples are valid by construction, so the sums take them
+        # directly, and instance strings come from a table indexed by
+        # twice-value: no Spin or BEInstance is built per instance.  A
+        # coupled slot of iter_be_grid can reach max_twice + 1.
+        names = [str(Spin(v)) for v in range(max_twice + 2)]
+        p_primes = range(max_twice + 1)
+        form = ("pachner-1-4" if which == "pachner-14" else _be_form(
+            "pentagon" if which == "be" else "pachner-2-3", literal_form))
         for t in iter_be_grid(max_twice):
-            spins = [Spin(v) for v in t]
-            yield (_instance_dict(BE_SYMBOL_NAMES, spins),
-                   check(BEInstance(*spins), literal_form=literal_form))
-    elif which == "pachner-14":
-        p_primes = [Spin(tpp) for tpp in range(max_twice + 1)]
-        for t in iter_be_grid(max_twice):
-            spins = [Spin(v) for v in t]
-            rows = pachner_14_checks(BEInstance(*spins), p_primes)
-            for pp, res in zip(p_primes, rows):
-                yield (_instance_dict(BE_SYMBOL_NAMES + ("p'",),
-                                      spins + [pp]), res)
+            instance = dict(zip(BE_SYMBOL_NAMES, map(names.__getitem__, t)))
+            if which != "pachner-14":
+                yield instance, _result(*_be_sides(t, literal_form), form)
+                continue
+            for tpp, sides in zip(p_primes, _pachner_14_sides(t, p_primes)):
+                yield {**instance, "p'": names[tpp]}, _result(*sides, form)
     else:
         raise SpinnetError(f"unknown verification grid {which!r}")
 

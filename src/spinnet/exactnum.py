@@ -286,7 +286,15 @@ class SqrtRational:
 
     def to_float(self) -> float:
         """Floating approximation, for display only."""
-        return float(self.coeff) * math.sqrt(float(self.radicand))
+        try:
+            return float(self.coeff) * math.sqrt(float(self.radicand))
+        except OverflowError:
+            # the radicand is beyond the float range: take the root of
+            # the exact square instead
+            c = self.coeff
+            root = math.sqrt(float(Fraction(c.numerator ** 2 * self.radicand,
+                                            c.denominator ** 2)))
+            return -root if c < 0 else root
 
     __float__ = to_float
 

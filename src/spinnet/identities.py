@@ -25,7 +25,7 @@ factor is ever introduced).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import IncompatibleRadicands, InvalidInstance, PhaseParityError
@@ -79,6 +79,11 @@ X_FREE_TRIADS = tuple(t for t in ALL_TRIADS if "x" not in t)
 assert len(ALL_TRIADS) == 10 and len(X_FREE_TRIADS) == 7
 
 
+# slot indices into BE_SYMBOL_NAMES of each x-free triad
+_X_FREE_SLOTS = tuple(tuple(BE_SYMBOL_NAMES.index(n) for n in names)
+                      for names in X_FREE_TRIADS)
+
+
 @dataclass(frozen=True)
 class BEInstance:
     """The nine fixed spins of the pentagon identity."""
@@ -92,33 +97,40 @@ class BEInstance:
     p: Spin
     q: Spin
     r: Spin
+    # the nine twice-values, read once by __post_init__
+    _twice: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        bad = []
-        for names in X_FREE_TRIADS:
-            tv = tuple(getattr(self, n).twice for n in names)
-            if not triad_valid_twice(*tv):
-                bad.append(names)
+        t = (self.a.twice, self.b.twice, self.c.twice, self.d.twice,
+             self.e.twice, self.f.twice, self.p.twice, self.q.twice,
+             self.r.twice)
+        bad = [names for names, (i, j, k) in zip(X_FREE_TRIADS, _X_FREE_SLOTS)
+               if not triad_valid_twice(t[i], t[j], t[k])]
         if bad:
             raise InvalidInstance(
                 "invalid fixed triads: "
-                + ", ".join("(" + "".join(t) + ")" for t in bad),
+                + ", ".join("(" + "".join(names) + ")" for names in bad),
                 triads=bad)
+        object.__setattr__(self, "_twice", t)
 
     @classmethod
     def from_twice(cls, t: tuple[int, ...]) -> "BEInstance":
-        return cls(*(Spin(v) for v in t))
+        return cls(*map(Spin, t))
 
     def twice_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, n).twice for n in BE_SYMBOL_NAMES)
+        return self._twice
 
     @property
     def phi_twice(self) -> int:
-        return sum(self.twice_tuple())
+        return sum(self._twice)
 
     def __str__(self):
-        return ("(" + ", ".join(f"{n}={getattr(self, n)}"
-                                for n in BE_SYMBOL_NAMES) + ")")
+        return _instance_str(self._twice)
+
+
+def _instance_str(t) -> str:
+    return ("(" + ", ".join(f"{n}={Spin(v)}"
+                            for n, v in zip(BE_SYMBOL_NAMES, t)) + ")")
 
 
 @dataclass(frozen=True)
@@ -231,16 +243,18 @@ def orthogonality_check(a: Spin, b: Spin, c: Spin, d: Spin,
     return _result(lhs, rhs, "orthogonality")
 
 
-def _be_sides(inst: BEInstance, literal_form: bool):
-    ta, tb, tc, td, te, tf, tp, tq, tr = inst.twice_tuple()
-    phi = inst.phi_twice
+def _be_sides(t, literal_form: bool):
+    """Both sides of the pentagon identity for a valid twice tuple t."""
+    ta, tb, tc, td, te, tf, tp, tq, tr = t
+    phi = sum(t)
     terms = []
-    # BEInstance holds the seven fixed triads and x runs over (abx) (cdx)
-    # (efx), so all ten triads of the five symbols hold
+    # t holds the seven fixed triads and x runs over (abx) (cdx) (efx),
+    # so all ten triads of the five symbols hold
     for tx in admissible_x_twice(ta, tb, tc, td, te, tf):
         if (phi + tx) % 2:
             raise PhaseParityError(
-                f"phi + x is half-integral for {inst} at x={tx}/2")
+                f"phi + x is half-integral for {_instance_str(t)} "
+                f"at x={tx}/2")
         sign = -1 if ((phi + tx) // 2) % 2 else 1
         terms.append(_product(
             (_sixj_cached((ta, tb, tx, tc, td, tp)),
@@ -253,20 +267,23 @@ def _be_sides(inst: BEInstance, literal_form: bool):
     return _sum(terms), rhs
 
 
+def _be_form(move: str, literal_form: bool) -> str:
+    """The form label of a pentagon-type check result."""
+    return move + ("-unweighted" if literal_form else "")
+
+
 def be_check(inst: BEInstance, literal_form: bool = False) -> ExactCheckResult:
     """Exact pentagon-identity check; literal_form drops the (2x+1) weight."""
-    lhs, rhs = _be_sides(inst, literal_form)
-    form = "pentagon-unweighted" if literal_form else "pentagon"
-    return _result(lhs, rhs, form)
+    lhs, rhs = _be_sides(inst._twice, literal_form)
+    return _result(lhs, rhs, _be_form("pentagon", literal_form))
 
 
 def pachner_23_check(inst: BEInstance,
                      literal_form: bool = False) -> ExactCheckResult:
     """The 2-3 move: three tetrahedra glued along x against two sharing a face."""
-    lhs, rhs = _be_sides(inst, literal_form)
-    form = "pachner-2-3" + ("-unweighted" if literal_form else "")
+    lhs, rhs = _be_sides(inst._twice, literal_form)
     return _result(
-        lhs, rhs, form,
+        lhs, rhs, _be_form("pachner-2-3", literal_form),
         detail="x-sum of the three x-tetrahedra vs the two-tetrahedron product")
 
 
@@ -286,19 +303,24 @@ def pachner_14_check(inst: BEInstance, p_prime: Spin) -> ExactCheckResult:
 
 def pachner_14_checks(inst: BEInstance, p_primes) -> list[ExactCheckResult]:
     """pachner_14_check for each p' in p_primes, sharing one pentagon x-sum."""
-    ta, tb, tc, td, _, _, tp, _, _ = inst.twice_tuple()
-    pentagon, two_symbols = _be_sides(inst, literal_form=False)
+    sides = _pachner_14_sides(inst._twice, [pp.twice for pp in p_primes])
+    return [_result(lhs, rhs, "pachner-1-4",
+                    detail=f"p'={pp}, contraction over x and the p slot")
+            for pp, (lhs, rhs) in zip(p_primes, sides)]
+
+
+def _pachner_14_sides(t, p_primes_twice) -> list:
+    """Both sides of the 1-4 contraction of valid t for each twice p'."""
+    ta, tb, tc, td, _, _, tp, _, _ = t
+    pentagon, two_symbols = _be_sides(t, literal_form=False)
     out = []
-    for p_prime in p_primes:
+    for tpp in p_primes_twice:
         # delta is the orthogonality rhs, delta_{pp'} ... / (2p'+1); it
         # is nonzero only at p' = p, where the right-hand symbols are the
         # pentagon's own two
-        ortho, delta = _orthogonality_sides(ta, tb, tc, td, tp, p_prime.twice)
-        lhs = _reduce(*_product((ortho, pentagon)))
-        rhs = _reduce(*_product((two_symbols, delta)))
-        out.append(_result(
-            lhs, rhs, "pachner-1-4",
-            detail=f"p'={p_prime}, contraction over x and the p slot"))
+        ortho, delta = _orthogonality_sides(ta, tb, tc, td, tp, tpp)
+        out.append((_reduce(*_product((ortho, pentagon))),
+                    _reduce(*_product((two_symbols, delta)))))
     return out
 
 

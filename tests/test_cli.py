@@ -11,8 +11,9 @@ import spinnet.cli
 from spinnet.cli import MAX_SINGLE_TWICE, main, verify_grid
 from spinnet.errors import CeilingExceeded, InvalidSpin, SpinnetError
 from spinnet.exactnum import Spin, SqrtRational
-from spinnet.identities import iter_be_grid
+from spinnet.identities import BEInstance, iter_be_grid
 from spinnet.labeling import SYMBOLS, label_desargues, network_amplitude
+from spinnet.wigner import SixJ, sixj_value
 
 
 def run(capsys, *argv):
@@ -104,6 +105,20 @@ class TestSixj:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert str(MAX_SINGLE_TWICE) in capsys.readouterr().out
+
+    def test_json_approx_beyond_float_radicand(self, capsys):
+        # the radicand of this symbol has 2830 bits, beyond the float range
+        twice = (3715, 3876, 3139, 3888, 3315, 2204)
+        code, out, err = run(capsys, "sixj", "--twice", *map(str, twice),
+                             "--format", "json")
+        assert code == 0 and err == ""
+        approx = json.loads(out)["approx"]
+        value = sixj_value(SixJ.from_twice(twice))
+        assert value.radicand.bit_length() > 1024
+        square = Fraction(value.coeff.numerator ** 2 * value.radicand,
+                          value.coeff.denominator ** 2)
+        assert math.isfinite(approx) and approx != 0
+        assert math.isclose(approx ** 2, float(square), rel_tol=1e-12)
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "sixj", "--format", "json",
@@ -221,6 +236,39 @@ class TestVerify:
         assert seen[0] == "" and seen[1] == lines[0] + "\n"
         assert all(s.count("\n") == 1 for s in seen[1:])
         assert json.loads(lines[-1])["instances"] == 64
+
+    @pytest.mark.parametrize("argv, sides, per_instance", [
+        (("verify-be",), "_be_sides", 1),
+        (("verify-pachner", "--move", "14"), "_pachner_14_sides", 3),
+    ])
+    def test_be_grids_build_no_instance_and_stream(
+            self, capsys, monkeypatch, argv, sides, per_instance):
+        built = []
+        post_init = BEInstance.__post_init__
+        monkeypatch.setattr(
+            BEInstance, "__post_init__",
+            lambda inst: built.append(1) or post_init(inst))
+        BEInstance.from_twice((0,) * 9)
+        assert built == [1]
+        built.clear()
+        # the output seen as each instance is checked
+        seen = []
+        check = getattr(spinnet.cli, sides)
+
+        def spy(*args):
+            seen.append(capsys.readouterr().out)
+            return check(*args)
+
+        monkeypatch.setattr(spinnet.cli, sides, spy)
+        code, out, _ = run(capsys, *argv, "--all", "--max-twice", "2",
+                           "--format", "json")
+        lines = "".join(seen + [out]).splitlines()
+        assert code == 0 and built == []
+        assert len(seen) == len(list(iter_be_grid(2)))
+        assert len(lines) == len(seen) * per_instance + 1
+        assert seen[0] == ""
+        assert seen[1] == "".join(line + "\n"
+                                  for line in lines[:per_instance])
 
     def test_verify_grid_negative_is_error(self):
         with pytest.raises(SpinnetError, match="negative"):
@@ -411,6 +459,18 @@ GOLDEN = [
      "0669892719cb89aa628625a1b7b13c65928c7714a9725b3e7d44de037b7535b0"),
     (("sixj", "--twice", "4", "4", "4", "4", "4", "4", "--format", "json"), 0,
      "c2e8055f9103ba98a4d653034a1e8234bdd4dae1f5a472b72690c8edc325f072"),
+    # recorded before the be and Pachner grids ran on twice tuples
+    (("verify-be", "--all", "--max-twice", "3"), 0,
+     "43517d4ac66596147297adce4fb941e7ce84054c5711d7a397e470994081300d"),
+    (("verify-be", "--all", "--max-twice", "3", "--format", "json",
+      "--sorted"), 0,
+     "3018ea6a12658e42d123d0c994f41f3e390df35dfc5d0615d5b562f84eac7ec2"),
+    (("verify-pachner", "--move", "23", "--all", "--max-twice", "3",
+      "--format", "json"), 0,
+     "be1c169994c4109ebb9f70004cd839f9d8ad973006fdc2a9d5d4217089284d3f"),
+    (("verify-pachner", "--move", "14", "--all", "--max-twice", "3",
+      "--format", "json", "--sorted"), 0,
+     "69f5b56ede215d4bf128f4c04af96b3ff56ba41b31210cbd8eb46311dd5b4f59"),
 ]
 
 

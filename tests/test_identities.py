@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -286,26 +287,32 @@ _twices = st.integers(min_value=0, max_value=MAX_RANDOM_TWICE)
 _differential = settings(derandomize=True, deadline=None, max_examples=150)
 
 
-def _couple(*pairs):
-    # twice-values v <= MAX_RANDOM_TWICE with (u w v) a triad for each pair
-    return [v for v in range(MAX_RANDOM_TWICE + 1)
+def _couple(*pairs, top=MAX_RANDOM_TWICE):
+    # twice-values v <= top with (u w v) a triad for each pair
+    return [v for v in range(top + 1)
             if all((u + w + v) % 2 == 0 and abs(u - w) <= v <= u + w
                    for u, w in pairs)]
 
 
 @st.composite
-def be_instances(draw):
-    """Valid (a, b, c, d, e, f, p, q, r), built through the fixed triads."""
-    tp, tq = draw(_twices), draw(_twices)
-    tr = draw(st.sampled_from(_couple((tp, tq)) or [None]))
-    ta = draw(_twices)
-    td = draw(st.sampled_from(_couple((ta, tp)) or [None]))
+def be_instances(draw, top=MAX_RANDOM_TWICE):
+    """Valid (a, b, c, d, e, f, p, q, r) <= top, built through the fixed
+    triads."""
+    twices = st.integers(min_value=0, max_value=top)
+
+    def couple(*pairs):
+        return draw(st.sampled_from(_couple(*pairs, top=top) or [None]))
+
+    tp, tq = draw(twices), draw(twices)
+    tr = couple((tp, tq))
+    ta = draw(twices)
+    td = couple((ta, tp))
     assume(tr is not None and td is not None)
-    te = draw(st.sampled_from(_couple((ta, tr), (td, tq)) or [None]))
-    tb = draw(_twices)
-    tc = draw(st.sampled_from(_couple((tb, tp)) or [None]))
+    te = couple((ta, tr), (td, tq))
+    tb = draw(twices)
+    tc = couple((tb, tp))
     assume(te is not None and tc is not None)
-    tf = draw(st.sampled_from(_couple((tc, tq), (tb, tr)) or [None]))
+    tf = couple((tc, tq), (tb, tr))
     assume(tf is not None)
     return (ta, tb, tc, td, te, tf, tp, tq, tr)
 
@@ -362,3 +369,76 @@ class TestOldPathDifferential:
         assert rows == [pachner_14_check(inst, pp) for pp in p_primes]
         assert [r.equal for r in rows] == [True] * 4
         assert [bool(r.rhs) for r in rows] == [False, False, True, False]
+
+
+def _fixed_triads_failing(t):
+    """The x-free triads of twice tuple t that fail, in X_FREE_TRIADS order."""
+    tw = dict(zip("abcdefpqr", t))
+    return [names for names in X_FREE_TRIADS
+            if not ((sum(tw[n] for n in names)) % 2 == 0
+                    and abs(tw[names[0]] - tw[names[1]]) <= tw[names[2]]
+                    <= tw[names[0]] + tw[names[1]])]
+
+
+class TestBEInstanceTwiceTuple:
+    """BEInstance keeps its twice tuple without changing its public face."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(be_instances(top=8), be_instances(top=8))
+    def test_valid_instances(self, t, other):
+        inst = BEInstance.from_twice(t)
+        assert inst.twice_tuple() == t == tuple(
+            getattr(inst, n).twice for n in "abcdefpqr")
+        assert inst.phi_twice == sum(t)
+        direct = BEInstance(*S(*t))
+        assert direct == inst and hash(direct) == hash(inst)
+        # the generated hash covers the nine spins and nothing else
+        assert hash(inst) == hash(tuple(S(*t)))
+        assert repr(inst) == "BEInstance(" + ", ".join(
+            f"{n}=Spin({v})" for n, v in zip("abcdefpqr", t)) + ")"
+        assert str(inst) == "(" + ", ".join(
+            f"{n}={Spin(v)}" for n, v in zip("abcdefpqr", t)) + ")"
+        assert replace(inst) == inst
+        moved = replace(inst, **dict(zip("abcdefpqr", S(*other))))
+        assert moved == BEInstance.from_twice(other)
+        assert moved.twice_tuple() == other
+        assert moved.phi_twice == sum(other)
+        assert (moved == inst) == (other == t)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.tuples(*[st.integers(0, 8)] * 9))
+    def test_any_tuple_reports_its_failing_triads(self, t):
+        bad = _fixed_triads_failing(t)
+        if not bad:
+            assert BEInstance.from_twice(t).twice_tuple() == t
+            return
+        with pytest.raises(InvalidInstance) as err:
+            BEInstance.from_twice(t)
+        assert err.value.triads == tuple(bad)
+
+    # for each x-free triad, a twice tuple on which it alone fails
+    ONE_TRIAD_BROKEN = {
+        ("a", "d", "p"): (2, 0, 0, 0, 1, 1, 0, 1, 1),
+        ("b", "c", "p"): (0, 2, 0, 0, 1, 1, 0, 1, 1),
+        ("c", "f", "q"): (0, 1, 2, 1, 1, 0, 1, 0, 1),
+        ("d", "e", "q"): (1, 0, 1, 2, 0, 1, 1, 0, 1),
+        ("e", "a", "r"): (2, 0, 1, 1, 0, 0, 1, 1, 0),
+        ("f", "b", "r"): (0, 2, 1, 1, 0, 0, 1, 1, 0),
+        ("p", "q", "r"): (1, 1, 1, 1, 1, 1, 2, 0, 0),
+    }
+
+    @pytest.mark.parametrize("names", X_FREE_TRIADS,
+                             ids=["".join(n) for n in X_FREE_TRIADS])
+    def test_each_fixed_triad_broken_alone(self, names):
+        t = self.ONE_TRIAD_BROKEN[names]
+        assert _fixed_triads_failing(t) == [names]
+        for build in (BEInstance.from_twice, lambda t: BEInstance(*S(*t))):
+            with pytest.raises(InvalidInstance) as err:
+                build(t)
+            assert err.value.triads == (names,)
+            assert str(err.value) == \
+                f"invalid fixed triads: ({''.join(names)})"
+        with pytest.raises(InvalidInstance) as err:
+            replace(BEInstance(*S(*(0,) * 9)),
+                    **dict(zip("abcdefpqr", S(*t))))
+        assert err.value.triads == (names,)
