@@ -18,12 +18,8 @@ from .exactnum import Spin
 from .identities import (
     BE_SYMBOL_NAMES,
     BEInstance,
-    _be_form,
-    _be_sides,
-    _pachner_14_sides,
-    _result,
     be_check,
-    iter_be_grid,
+    iter_be_grid_checks,
     iter_orthogonality_grid,
     orthogonality_check,
     pachner_14_check,
@@ -150,24 +146,13 @@ def _grid_checks(max_twice, which, literal_form):
             spins = [Spin(v) for v in t]
             yield (_instance_dict(ORTH_NAMES, spins),
                    orthogonality_check(*spins))
-    elif which in ("be", "pachner-23", "pachner-14"):
-        # grid tuples are valid by construction, so the sums take them
-        # directly, and instance strings come from a table indexed by
-        # twice-value: no Spin or BEInstance is built per instance.  A
-        # coupled slot of iter_be_grid can reach max_twice + 1.
-        names = [str(Spin(v)) for v in range(max_twice + 2)]
-        p_primes = range(max_twice + 1)
-        form = ("pachner-1-4" if which == "pachner-14" else _be_form(
-            "pentagon" if which == "be" else "pachner-2-3", literal_form))
-        for t in iter_be_grid(max_twice):
-            instance = dict(zip(BE_SYMBOL_NAMES, map(names.__getitem__, t)))
-            if which != "pachner-14":
-                yield instance, _result(*_be_sides(t, literal_form), form)
-                continue
-            for tpp, sides in zip(p_primes, _pachner_14_sides(t, p_primes)):
-                yield {**instance, "p'": names[tpp]}, _result(*sides, form)
     else:
-        raise SpinnetError(f"unknown verification grid {which!r}")
+        # the be and Pachner grids yield twice tuples, p' appended for the
+        # 1-4 move; a coupled slot of iter_be_grid can reach max_twice + 1
+        names = [str(Spin(v)) for v in range(max_twice + 2)]
+        for t, res in iter_be_grid_checks(max_twice, which, literal_form):
+            yield dict(zip(BE_SYMBOL_NAMES + ("p'",),
+                           map(names.__getitem__, t))), res
 
 
 def verify_grid(max_twice: int, which: str, literal_form: bool = False,

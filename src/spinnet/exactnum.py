@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import threading
 from fractions import Fraction
 from functools import total_ordering
@@ -286,15 +287,26 @@ class SqrtRational:
 
     def to_float(self) -> float:
         """Floating approximation, for display only."""
+        c = self.coeff
         try:
-            return float(self.coeff) * math.sqrt(float(self.radicand))
+            fc = float(c)
+            if not c or abs(fc) >= sys.float_info.min:
+                return fc * math.sqrt(float(self.radicand))
         except OverflowError:
-            # the radicand is beyond the float range: take the root of
-            # the exact square instead
-            c = self.coeff
-            root = math.sqrt(float(Fraction(c.numerator ** 2 * self.radicand,
-                                            c.denominator ** 2)))
-            return -root if c < 0 else root
+            pass
+        # the coefficient or the radicand is outside the normal float
+        # range, though the value need not be: scale the exact square
+        # n**2 * rad / d**2 by 4**k so that its integer root has about 64
+        # bits, then take the power of two back off
+        n, d = abs(c.numerator), c.denominator
+        sq_num, sq_den = n * n * self.radicand, d * d
+        k = (sq_den.bit_length() - sq_num.bit_length()) // 2 + 64
+        if k >= 0:
+            root = math.isqrt((sq_num << 2 * k) // sq_den)
+        else:
+            root = math.isqrt(sq_num // (sq_den << -2 * k))
+        value = math.ldexp(root, -k)
+        return -value if c < 0 else value
 
     __float__ = to_float
 

@@ -25,10 +25,15 @@ factor is ever introduced).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import IncompatibleRadicands, InvalidInstance, PhaseParityError
+from .errors import (
+    IncompatibleRadicands,
+    InvalidInstance,
+    PhaseParityError,
+    SpinnetError,
+)
 from .exactnum import Spin, SqrtRational
 from .wigner import (
     TRIAD_SLOTS,
@@ -50,6 +55,7 @@ __all__ = [
     "pachner_14_checks",
     "iter_orthogonality_grid",
     "iter_be_grid",
+    "iter_be_grid_checks",
 ]
 
 BE_SYMBOL_NAMES = ("a", "b", "c", "d", "e", "f", "p", "q", "r")
@@ -97,8 +103,6 @@ class BEInstance:
     p: Spin
     q: Spin
     r: Spin
-    # the nine twice-values, read once by __post_init__
-    _twice: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         t = (self.a.twice, self.b.twice, self.c.twice, self.d.twice,
@@ -111,6 +115,8 @@ class BEInstance:
                 "invalid fixed triads: "
                 + ", ".join("(" + "".join(names) + ")" for names in bad),
                 triads=bad)
+        # the nine twice-values, kept outside the dataclass fields so
+        # that fields, equality, hash and repr stay those of the spins
         object.__setattr__(self, "_twice", t)
 
     @classmethod
@@ -267,24 +273,32 @@ def _be_sides(t, literal_form: bool):
     return _sum(terms), rhs
 
 
-def _be_form(move: str, literal_form: bool) -> str:
-    """The form label of a pentagon-type check result."""
-    return move + ("-unweighted" if literal_form else "")
+_PACHNER_23_DETAIL = \
+    "x-sum of the three x-tetrahedra vs the two-tetrahedron product"
+
+
+def _be_result(t, literal_form: bool) -> ExactCheckResult:
+    lhs, rhs = _be_sides(t, literal_form)
+    return _result(lhs, rhs,
+                   "pentagon-unweighted" if literal_form else "pentagon")
+
+
+def _pachner_23_result(t, literal_form: bool) -> ExactCheckResult:
+    lhs, rhs = _be_sides(t, literal_form)
+    return _result(lhs, rhs,
+                   "pachner-2-3" + ("-unweighted" if literal_form else ""),
+                   detail=_PACHNER_23_DETAIL)
 
 
 def be_check(inst: BEInstance, literal_form: bool = False) -> ExactCheckResult:
     """Exact pentagon-identity check; literal_form drops the (2x+1) weight."""
-    lhs, rhs = _be_sides(inst._twice, literal_form)
-    return _result(lhs, rhs, _be_form("pentagon", literal_form))
+    return _be_result(inst._twice, literal_form)
 
 
 def pachner_23_check(inst: BEInstance,
                      literal_form: bool = False) -> ExactCheckResult:
     """The 2-3 move: three tetrahedra glued along x against two sharing a face."""
-    lhs, rhs = _be_sides(inst._twice, literal_form)
-    return _result(
-        lhs, rhs, _be_form("pachner-2-3", literal_form),
-        detail="x-sum of the three x-tetrahedra vs the two-tetrahedron product")
+    return _pachner_23_result(inst._twice, literal_form)
 
 
 def pachner_14_check(inst: BEInstance, p_prime: Spin) -> ExactCheckResult:
@@ -303,24 +317,24 @@ def pachner_14_check(inst: BEInstance, p_prime: Spin) -> ExactCheckResult:
 
 def pachner_14_checks(inst: BEInstance, p_primes) -> list[ExactCheckResult]:
     """pachner_14_check for each p' in p_primes, sharing one pentagon x-sum."""
-    sides = _pachner_14_sides(inst._twice, [pp.twice for pp in p_primes])
-    return [_result(lhs, rhs, "pachner-1-4",
-                    detail=f"p'={pp}, contraction over x and the p slot")
-            for pp, (lhs, rhs) in zip(p_primes, sides)]
+    return _pachner_14_results(inst._twice, p_primes)
 
 
-def _pachner_14_sides(t, p_primes_twice) -> list:
-    """Both sides of the 1-4 contraction of valid t for each twice p'."""
+def _pachner_14_results(t, p_primes) -> list[ExactCheckResult]:
+    """The 1-4 checks of valid twice tuple t, one for each Spin p'."""
     ta, tb, tc, td, _, _, tp, _, _ = t
     pentagon, two_symbols = _be_sides(t, literal_form=False)
     out = []
-    for tpp in p_primes_twice:
+    for p_prime in p_primes:
         # delta is the orthogonality rhs, delta_{pp'} ... / (2p'+1); it
         # is nonzero only at p' = p, where the right-hand symbols are the
         # pentagon's own two
-        ortho, delta = _orthogonality_sides(ta, tb, tc, td, tp, tpp)
-        out.append((_reduce(*_product((ortho, pentagon))),
-                    _reduce(*_product((two_symbols, delta)))))
+        ortho, delta = _orthogonality_sides(ta, tb, tc, td, tp, p_prime.twice)
+        out.append(_result(
+            _reduce(*_product((ortho, pentagon))),
+            _reduce(*_product((two_symbols, delta))),
+            "pachner-1-4",
+            detail=f"p'={p_prime}, contraction over x and the p slot"))
     return out
 
 
@@ -364,3 +378,30 @@ def iter_be_grid(max_twice: int):
                                             continue
                                         yield (ta, tb, tc, td, te,
                                                tf, tp, tq, tr)
+
+
+def iter_be_grid_checks(max_twice: int, move: str,
+                        literal_form: bool = False):
+    """(twice tuple, result) for every tuple of iter_be_grid(max_twice).
+
+    move is 'be' (the pentagon identity), 'pachner-23' or 'pachner-14';
+    literal_form applies to the first two.  The 1-4 move yields one result
+    for each p' with twice-value <= max_twice, its twice-value appended
+    to the tuple.  Grid tuples are valid by construction, so the sums run
+    on them directly and no BEInstance is built.
+    """
+    if move == "pachner-14":
+        p_primes = [Spin(v) for v in range(max_twice + 1)]
+        for t in iter_be_grid(max_twice):
+            rows = _pachner_14_results(t, p_primes)
+            for p_prime, res in zip(p_primes, rows):
+                yield t + (p_prime.twice,), res
+        return
+    if move == "be":
+        check = _be_result
+    elif move == "pachner-23":
+        check = _pachner_23_result
+    else:
+        raise SpinnetError(f"unknown verification grid {move!r}")
+    for t in iter_be_grid(max_twice):
+        yield t, check(t, literal_form)

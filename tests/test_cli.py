@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import spinnet.cli
+import spinnet.identities
 from spinnet.cli import MAX_SINGLE_TWICE, main, verify_grid
 from spinnet.errors import CeilingExceeded, InvalidSpin, SpinnetError
 from spinnet.exactnum import Spin, SqrtRational
@@ -237,12 +238,12 @@ class TestVerify:
         assert all(s.count("\n") == 1 for s in seen[1:])
         assert json.loads(lines[-1])["instances"] == 64
 
-    @pytest.mark.parametrize("argv, sides, per_instance", [
-        (("verify-be",), "_be_sides", 1),
-        (("verify-pachner", "--move", "14"), "_pachner_14_sides", 3),
+    @pytest.mark.parametrize("argv, per_instance", [
+        (("verify-be",), 1),
+        (("verify-pachner", "--move", "14"), 3),
     ])
     def test_be_grids_build_no_instance_and_stream(
-            self, capsys, monkeypatch, argv, sides, per_instance):
+            self, capsys, monkeypatch, argv, per_instance):
         built = []
         post_init = BEInstance.__post_init__
         monkeypatch.setattr(
@@ -251,15 +252,16 @@ class TestVerify:
         BEInstance.from_twice((0,) * 9)
         assert built == [1]
         built.clear()
-        # the output seen as each instance is checked
+        # the output seen as each instance's pentagon sides are summed,
+        # which both moves do once per instance
         seen = []
-        check = getattr(spinnet.cli, sides)
+        sides = spinnet.identities._be_sides
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             seen.append(capsys.readouterr().out)
-            return check(*args)
+            return sides(*args, **kwargs)
 
-        monkeypatch.setattr(spinnet.cli, sides, spy)
+        monkeypatch.setattr(spinnet.identities, "_be_sides", spy)
         code, out, _ = run(capsys, *argv, "--all", "--max-twice", "2",
                            "--format", "json")
         lines = "".join(seen + [out]).splitlines()

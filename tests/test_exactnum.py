@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,35 @@ class TestSqrtRational:
 
     def test_float_helper(self):
         assert SqrtRational(1, 2).to_float() == pytest.approx(math.sqrt(2))
+        assert SqrtRational(0).to_float() == 0.0
+
+    @staticmethod
+    def _primorial(top):
+        # a square-free radicand: the product of the primes <= top
+        out = 1
+        for n in range(2, top + 1):
+            if all(n % p for p in range(2, math.isqrt(n) + 1)):
+                out *= n
+        return out
+
+    @pytest.mark.parametrize("num, den, top", [
+        # a radicand beyond the float range under a tiny coefficient: the
+        # value itself, about 5e-246, is an ordinary float
+        (1, 10 ** 400, 750),
+        (-1, 10 ** 400, 750),
+        # a subnormal coefficient under an ordinary radicand
+        (3, 10 ** 320, 100),
+        # a radicand beyond the float range, the value about 7e-9
+        (1, 2 ** 541, 750),
+    ])
+    def test_float_outside_the_float_range(self, num, den, top):
+        rad = self._primorial(top)
+        value = SqrtRational._from_triple(num, den, rad).to_float()
+        with localcontext() as ctx:
+            ctx.prec = 60
+            expected = float(Decimal(num) * Decimal(rad).sqrt() / Decimal(den))
+        assert math.isclose(value, expected, rel_tol=1e-15)
+        assert abs(value) >= sys.float_info.min
 
 
 _coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=12)

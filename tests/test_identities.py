@@ -1,5 +1,5 @@
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +12,7 @@ from oracles import (
     pentagon_sides_split,
 )
 from spinnet import identities
-from spinnet.errors import IncompatibleRadicands, InvalidInstance
+from spinnet.errors import IncompatibleRadicands, InvalidInstance, SpinnetError
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.identities import (
     BEInstance,
@@ -21,6 +21,7 @@ from spinnet.identities import (
     _sum,
     be_check,
     iter_be_grid,
+    iter_be_grid_checks,
     iter_orthogonality_grid,
     orthogonality_check,
     pachner_14_check,
@@ -398,6 +399,8 @@ class TestBEInstanceTwiceTuple:
             f"{n}=Spin({v})" for n, v in zip("abcdefpqr", t)) + ")"
         assert str(inst) == "(" + ", ".join(
             f"{n}={Spin(v)}" for n, v in zip("abcdefpqr", t)) + ")"
+        # the kept tuple is no dataclass field
+        assert [f.name for f in fields(inst)] == list("abcdefpqr")
         assert replace(inst) == inst
         moved = replace(inst, **dict(zip("abcdefpqr", S(*other))))
         assert moved == BEInstance.from_twice(other)
@@ -442,3 +445,31 @@ class TestBEInstanceTwiceTuple:
             replace(BEInstance(*S(*(0,) * 9)),
                     **dict(zip("abcdefpqr", S(*t))))
         assert err.value.triads == (names,)
+
+
+class TestBEGridChecks:
+    """iter_be_grid_checks runs the instance checks on the grid tuples."""
+
+    @pytest.mark.parametrize("literal_form", [False, True])
+    @pytest.mark.parametrize("move, check", [
+        ("be", be_check), ("pachner-23", pachner_23_check)])
+    def test_matches_the_instance_checks(self, move, check, literal_form):
+        rows = list(iter_be_grid_checks(2, move, literal_form))
+        assert [t for t, _ in rows] == list(iter_be_grid(2))
+        assert [res for _, res in rows] == [
+            check(BEInstance.from_twice(t), literal_form=literal_form)
+            for t in iter_be_grid(2)]
+
+    def test_pachner_14_appends_p_prime(self):
+        rows = list(iter_be_grid_checks(2, "pachner-14"))
+        p_primes = S(0, 1, 2)
+        expected = [(t + (pp.twice,), res)
+                    for t in iter_be_grid(2)
+                    for pp, res in zip(p_primes, pachner_14_checks(
+                        BEInstance.from_twice(t), p_primes))]
+        assert rows == expected
+        assert all(res.detail for _, res in rows)
+
+    def test_unknown_move(self):
+        with pytest.raises(SpinnetError, match="unknown verification grid"):
+            next(iter_be_grid_checks(1, "pachner-33"))
