@@ -51,6 +51,11 @@ class Spin:
     def __setattr__(self, name, value):
         raise AttributeError("Spin is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since the
+        # default reconstruction assigns the slot through __setattr__
+        return (type(self), (self.twice,))
+
     @classmethod
     def parse(cls, text: str) -> "Spin":
         """Parse 'n' or 'n/2' (e.g. '2', '3/2') into a Spin."""
@@ -186,6 +191,10 @@ class SqrtRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("SqrtRational is immutable")
+
+    def __reduce__(self):
+        # the fields are already canonical, so nothing is factored again
+        return (self._canonical, (self.coeff, self.radicand))
 
     @classmethod
     def zero(cls) -> "SqrtRational":

@@ -351,10 +351,13 @@ def iter_orthogonality_grid(max_twice: int):
 
 
 def iter_be_grid(max_twice: int):
-    """All valid nine-spin twice-tuples with entries <= max_twice.
+    """Valid nine-spin twice-tuples with a, b, d, e <= max_twice.
 
     Enumerates constructively through the seven fixed triads, so every
-    yielded tuple already satisfies the instance invariants.
+    yielded tuple already satisfies the instance invariants.  A coupled
+    entry (c, f, p, q, r) steps by 2 up to max_twice and can end at
+    max_twice + 1 when its parity differs: at 4, 7508 of the 15772
+    tuples have an entry of 5.
     """
     rng = range(max_twice + 1)
 

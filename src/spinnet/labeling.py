@@ -8,10 +8,12 @@ line, so edge {k,l} inherits the spin of line [kl]) puts the same five
 symbols on the five tetrahedra, with triads now sitting on triangular
 faces.
 
-The symbol-to-line binding is the static dictionary below; alternative
-bindings are isomorphic relabelings.  Every labeling shares the one
-configuration built at import, and checks the ten point-triads read
-off it: they are the ten triads of the pentagon identity.
+The symbol-to-line binding is read off identities.FIVE_SYMBOLS: the
+k-th symbol omits exactly the four spins on lines through k, so
+tetrahedron k (the six edges avoiding vertex k) carries the k-th
+symbol by construction.  Every labeling shares the one configuration
+built at import, and checks the ten point-triads read off it: they are
+the ten triads of the pentagon identity.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ __all__ = [
 
 SYMBOLS = BE_SYMBOL_NAMES + ("x",)
 
-# which line of the ten-point configuration carries which spin symbol
+# symbol s sits on line [kl], where k and l are the two quadrangles
+# whose symbols omit s
 LINE_TAG_OF_SYMBOL = {
-    "a": "[24]", "b": "[25]", "c": "[35]", "d": "[34]",
-    "e": "[14]", "f": "[15]", "p": "[23]", "q": "[13]",
-    "r": "[12]", "x": "[45]",
-}
+    s: "[" + "".join(str(k) for k, names in enumerate(FIVE_SYMBOLS, 1)
+                     if s not in names) + "]"
+    for s in SYMBOLS}
 SYMBOL_OF_LINE_TAG = {v: k for k, v in LINE_TAG_OF_SYMBOL.items()}
 
 DESARGUES = build_desargues()
@@ -146,17 +148,6 @@ def transfer_labeling(d: DesarguesSpinLabeling,
         raise TriadViolation(
             "face triads fail at "
             + ", ".join(v[0] for v in violations), violations)
-
-    # mechanical consistency: tetrahedron i must carry exactly the six
-    # lines of the i-th symbol
-    for idx, names in enumerate(FIVE_SYMBOLS):
-        tet = next(t for t, lab in c.tetra_labels.items() if lab == idx + 1)
-        tet_tags = {c.edge_labels[e] for e in c.edges_of_tetrahedron(tet)}
-        sym_tags = {LINE_TAG_OF_SYMBOL[n] for n in names}
-        if tet_tags != sym_tags:
-            raise LabelTransferMismatch(
-                f"tetrahedron {idx + 1} edges {sorted(tet_tags)} do not "
-                f"match symbol lines {sorted(sym_tags)}")
     return SimplexSpinLabeling(c, edge_spins, dict(d.symbol_spins))
 
 

@@ -224,6 +224,7 @@ class SimplicialComplex4:
     f-vector (5, 10, 10, 5); faces are subsets, so the face maps are
     subset inclusion.  Tetrahedron i is the 4-set avoiding vertex i,
     matching the dual labeling where quadrangle i becomes vertex i.
+    The label maps are read-only, so one complex can be shared.
     """
 
     def __init__(self):
@@ -234,17 +235,18 @@ class SimplicialComplex4:
                                combinations(self.vertices, 3))
         self.tetrahedra = tuple(
             frozenset(set(self.vertices) - {i}) for i in self.vertices)
-        self.vertex_labels = {
+        self.vertex_labels = MappingProxyType({
             v: "{" + "".join(str(w) for w in self.vertices if w != v) + "}"
-            for v in self.vertices}
-        self.edge_labels = {
+            for v in self.vertices})
+        self.edge_labels = MappingProxyType({
             e: "[" + "".join(str(v) for v in sorted(e)) + "]"
-            for e in self.edges}
-        self.triangle_labels = {
+            for e in self.edges})
+        self.triangle_labels = MappingProxyType({
             t: "<" + "".join(str(v) for v in sorted(t)) + ">"
-            for t in self.triangles}
-        self.tetra_labels = {tet: i + 1 for i, tet in
-                             enumerate(self.tetrahedra)}
+            for t in self.triangles})
+        self.tetra_labels = MappingProxyType(
+            {tet: i + 1 for i, tet in enumerate(self.tetrahedra)})
+        self._edge_of_label = {t: e for e, t in self.edge_labels.items()}
 
     def f_vector(self) -> tuple[int, int, int, int]:
         return (len(self.vertices), len(self.edges),
@@ -263,10 +265,7 @@ class SimplicialComplex4:
         return tuple(tet for tet in self.tetrahedra if t <= tet)
 
     def edge_by_label(self, tag) -> frozenset:
-        for e, t in self.edge_labels.items():
-            if t == tag:
-                return e
-        raise KeyError(tag)
+        return self._edge_of_label[tag]
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,14 +282,18 @@ class SimplicialComplex4:
         }
 
 
+_SIMPLEX = SimplicialComplex4()
+
+
 def space_dual_desargues(d: IncidenceStructure) -> SimplicialComplex4:
     """Space dual of the labeled ten-point configuration.
 
     Quadrangle i becomes a vertex (tagged with the complementary four
     indices), each line [kl] stays a line and becomes the edge {k,l},
     and each two-colored point (ij) becomes the triangle <klm> on the
-    complementary indices.  Raises MalformedLabels unless d carries the
-    two-color/bracket tagging produced by build_desargues.
+    complementary indices.  Every valid d has the same dual, so the one
+    complex built at import is returned.  Raises MalformedLabels unless
+    d carries the two-color/bracket tagging produced by build_desargues.
     """
     if len(d.points) != 10 or len(d.lines) != 10:
         raise MalformedLabels("expected a ten-point, ten-line structure")
@@ -302,7 +305,6 @@ def space_dual_desargues(d: IncidenceStructure) -> SimplicialComplex4:
             or len(set(line_pairs.values())) != 10):
         raise MalformedLabels("tags must cover all ten index pairs")
 
-    complex4 = SimplicialComplex4()
     # consistency of the labeling with the dual face relations:
     # point (ij) on line [kl] must become triangle <klm> containing
     # edge {k,l}, i.e. the pairs must be disjoint exactly when incident
@@ -311,7 +313,7 @@ def space_dual_desargues(d: IncidenceStructure) -> SimplicialComplex4:
         if ((p, l) in d.incidence) != disjoint:
             raise MalformedLabels(
                 "incidence does not match the two-color tagging")
-    return complex4
+    return _SIMPLEX
 
 
 def cross_section(c: SimplicialComplex4) -> IncidenceStructure:

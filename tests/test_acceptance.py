@@ -1,16 +1,19 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per criterion, each printing a PASS line,
+and one for the S5 invariance of the network amplitude.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines.  Everything is exact arithmetic; no tolerances appear anywhere.
 """
 
-import random
+from functools import cache
 from itertools import product
 
+import pytest
 from oracles import sixj_one_zero, sixj_via_threej
 from spinnet.errors import TriadViolation
 from spinnet.exactnum import Spin
 from spinnet.identities import (
+    ALL_TRIADS,
     BEInstance,
     be_check,
     iter_be_grid,
@@ -18,8 +21,11 @@ from spinnet.identities import (
     orthogonality_check,
 )
 from spinnet.labeling import (
+    LINE_TAG_OF_SYMBOL,
+    SYMBOL_OF_LINE_TAG,
     SYMBOLS,
     label_desargues,
+    network_amplitude,
     transfer_labeling,
 )
 from spinnet.projective import (
@@ -103,16 +109,19 @@ def test_criterion_03_orthogonality():
 def test_criterion_04_pentagon():
     count = 0
     literal_failures = 0
+    top = 0
     for t in iter_be_grid(4):
         inst = BEInstance.from_twice(t)
         assert be_check(inst).equal, t
         if not be_check(inst, literal_form=True).equal:
             literal_failures += 1
         count += 1
+        top = max(top, *t)
     assert literal_failures > 0
     print(f"PASS criterion 4: pentagon identity exact on {count} "
-          f"instances (twice <= 4); comparison report: literal "
-          f"unweighted form fails on {literal_failures}/{count}")
+          f"instances of the twice <= 4 grid (coupled entries reach "
+          f"{top}); comparison report: literal unweighted form fails on "
+          f"{literal_failures}/{count}")
 
 
 def test_criterion_05_range_law():
@@ -171,26 +180,96 @@ def test_criterion_08_space_dual_round_trip():
           "triangles in 2 tetrahedra, cross-section isomorphic")
 
 
+@cache
+def all_valid_labelings(max_twice=4):
+    """Every ten-spin twice-labeling, in SYMBOLS order, with all entries
+    <= max_twice and all ten triads of the pentagon identity coupling.
+
+    Each triad is checked as soon as the last of its spins is placed.
+    """
+    slots = [tuple(SYMBOLS.index(n) for n in names) for names in ALL_TRIADS]
+    due = [[t for t in slots if max(t) == k] for k in range(len(SYMBOLS))]
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == len(SYMBOLS):
+            out.append(prefix)
+            return
+        for v in range(max_twice + 1):
+            t = prefix + (v,)
+            if all(triad_valid_twice(*(t[i] for i in tri))
+                   for tri in due[len(prefix)]):
+                extend(t)
+
+    extend(())
+    return tuple(out)
+
+
+def spins_of(t):
+    return {n: Spin(v) for n, v in zip(SYMBOLS, t)}
+
+
+# for each point, the two spins whose zeroing, with every other spin 1,
+# breaks that point's triad alone: two lines meet in one point only
+ONE_POINT_BROKEN = {
+    "(12)": "cd", "(13)": "ab", "(14)": "bc", "(15)": "ad", "(23)": "ef",
+    "(24)": "cf", "(25)": "de", "(34)": "bf", "(35)": "ae", "(45)": "pq",
+}
+
+
 def test_criterion_09_labeling_transfer():
-    rng = random.Random(987123)
     complex4 = space_dual_desargues(build_desargues())
-    names = list(SYMBOLS)
-    valid = invalid = 0
-    while valid < 1000:
-        spins = {n: Spin(rng.randrange(0, 5)) for n in names}
-        try:
-            lab = label_desargues(spins)
-        except TriadViolation:
-            invalid += 1
-            continue
-        sl = transfer_labeling(lab, complex4)  # must also pass
+    labelings = all_valid_labelings()
+    assert len(labelings) == 12375
+    for t in labelings:
+        lab = label_desargues(spins_of(t))
+        sl = transfer_labeling(lab, complex4)
         quad_vals = [sixj_value(s) for s in lab.quadrangle_symbols()]
         tet_vals = [sixj_value(s) for s in sl.tetrahedron_symbols()]
-        assert quad_vals == tet_vals
-        valid += 1
-    print(f"PASS criterion 9: {valid} random valid labelings transfer "
-          f"with symbol-by-symbol value equality "
-          f"({invalid} invalid samples rejected consistently)")
+        assert quad_vals == tet_vals, t
+    d = build_desargues()
+    assert sorted(ONE_POINT_BROKEN) == sorted(d.point_labels.values())
+    for tag, zeroed in ONE_POINT_BROKEN.items():
+        spins = {n: Spin(0 if n in zeroed else 2) for n in SYMBOLS}
+        with pytest.raises(TriadViolation) as err:
+            label_desargues(spins)
+        assert [v[0] for v in err.value.violations] == [tag]
+    print(f"PASS criterion 9: all {len(labelings)} valid labelings with "
+          f"twice <= 4 transfer with symbol-by-symbol value equality; "
+          f"each of the {len(ONE_POINT_BROKEN)} point triads broken alone "
+          f"is rejected at that point only")
+
+
+def _vertex_map_on_symbols(perm):
+    """Slot of the symbol each symbol moves to when vertex k goes to
+    perm[k]: the edge of line [kl] goes to the edge {perm[k], perm[l]}."""
+    def image(tag):
+        k, l = int(tag[1]), int(tag[2])
+        return "[" + "".join(str(v) for v in sorted((perm[k], perm[l]))) + "]"
+    return tuple(SYMBOLS.index(SYMBOL_OF_LINE_TAG[image(LINE_TAG_OF_SYMBOL[s])])
+                 for s in SYMBOLS)
+
+
+def test_network_amplitude_s5_invariance():
+    # S5 acts on the 4-simplex by permuting its vertices, i.e. on the
+    # configuration by its automorphisms; (12) and (12345) generate it
+    labelings = all_valid_labelings()
+    amplitudes = {t: network_amplitude(label_desargues(spins_of(t)))
+                  for t in labelings}
+    generators = ({1: 2, 2: 1, 3: 3, 4: 4, 5: 5},
+                  {1: 2, 2: 3, 3: 4, 4: 5, 5: 1})
+    for perm in generators:
+        target = _vertex_map_on_symbols(perm)
+        assert sorted(target) == list(range(len(SYMBOLS)))
+        for t, amp in amplitudes.items():
+            moved = [0] * len(t)
+            for i, v in zip(target, t):
+                moved[i] = v
+            # a valid labeling moves to a valid one, of equal amplitude
+            assert amplitudes.get(tuple(moved)) == amp, (perm, t)
+    print(f"PASS S5 invariance: network amplitude unchanged under the "
+          f"vertex permutations (12) and (12345) on all {len(labelings)} "
+          f"valid labelings with twice <= 4")
 
 
 def test_criterion_10_oracle_equivalence():

@@ -1,12 +1,16 @@
-"""The library names the benchmark under spinbench/ relies on.
+"""The library names and tables the benchmark under spinbench/ relies on.
 
 spinbench/tracing.py wraps functions by (module, attribute) and
 SqrtRational methods by name, and the benchmark's workers read a few
 more names.  Deleting or renaming one of them would break the benchmark
-without failing any other test, so this module checks them all.  The
-tracer's file is only read.
+without failing any other test, so this module checks them all.
+spinbench/workloads.py states the ten symbols, the ten point triads and
+the five symbols again, to check results independently of the library;
+those literals are compared with the library's tables here.  The
+benchmark's files are only read.
 """
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -14,10 +18,11 @@ from pathlib import Path
 import pytest
 
 import spinnet
-from spinnet import wigner
+from spinnet import identities, labeling, wigner
 from spinnet.exactnum import SqrtRational
 
-TRACING = Path(__file__).resolve().parents[1] / "spinbench" / "tracing.py"
+SPINBENCH = Path(__file__).resolve().parents[1] / "spinbench"
+TRACING = SPINBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -45,3 +50,24 @@ def test_names_the_workers_read_exist():
     assert callable(spinnet.kernel_backend)
     assert callable(wigner.sixj_value_twice)
     assert callable(wigner._sixj_cached.cache_clear)
+
+
+def _workload_literals():
+    # read from the source text, so nothing under spinbench/ is imported
+    tree = ast.parse((SPINBENCH / "workloads.py").read_text())
+    return {target.id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+            and target.id in ("SYMBOLS", "POINT_TRIADS", "FIVE_SYMBOLS")}
+
+
+def test_workload_tables_match_the_library():
+    tables = _workload_literals()
+    assert tables["SYMBOLS"] == labeling.SYMBOLS
+    # slot order matters within a symbol: it fixes the value's phase
+    assert tables["FIVE_SYMBOLS"] == tuple(
+        "".join(names) for names in identities.FIVE_SYMBOLS)
+    assert len(tables["POINT_TRIADS"]) == len(labeling.POINT_TRIADS)
+    assert set(map(frozenset, tables["POINT_TRIADS"])) == {
+        frozenset(names) for _, names in labeling.POINT_TRIADS}

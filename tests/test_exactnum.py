@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import sys
+from dataclasses import astuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinnet import exactnum
 from spinnet.errors import IncompatibleRadicands, InvalidSpin, PhaseParityError
 from spinnet.exactnum import (
     FactorialCache,
@@ -19,6 +23,7 @@ from spinnet.exactnum import (
     sqrt_rational_mul,
     square_free_split,
 )
+from spinnet.wigner import SixJ, sixj_value_twice
 
 
 class TestSpin:
@@ -204,6 +209,34 @@ class TestSqrtRational:
             expected = float(Decimal(num) * Decimal(rad).sqrt() / Decimal(den))
         assert math.isclose(value, expected, rel_tol=1e-15)
         assert abs(value) >= sys.float_info.min
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("how", ROUND_TRIPS)
+    @pytest.mark.parametrize("value", [
+        Spin(0), Spin(3), SqrtRational(0), SqrtRational(Fraction(-3, 70), 21),
+        sixj_value_twice((4, 4, 4, 2, 2, 2)),
+    ], ids=repr)
+    def test_round_trip(self, how, value, monkeypatch):
+        # the canonical fields are rebuilt as they are, never re-split
+        def no_split(n):
+            raise AssertionError(f"square_free_split({n}) called")
+        monkeypatch.setattr(exactnum, "square_free_split", no_split)
+        again = ROUND_TRIPS[how](value)
+        assert again == value and type(again) is type(value)
+        assert str(again) == str(value)
+
+    def test_sixj_fields(self):
+        sym = SixJ.from_twice((4, 4, 4, 2, 2, 2))
+        assert astuple(sym) == tuple(Spin(t) for t in (4, 4, 4, 2, 2, 2))
+        assert copy.deepcopy(sym) == sym
 
 
 _coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=12)

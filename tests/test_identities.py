@@ -1,5 +1,7 @@
+import copy
+import pickle
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -228,6 +230,25 @@ class TestResultShape:
         assert res.diff == SqrtRational(Fraction(1, 27) - Fraction(1, 36))
         ok = be_check(BEInstance(*S(*(2,) * 9)))
         assert ok.diff == SqrtRational(0)
+
+
+class TestCopyAndPickle:
+    ROUND_TRIPS = (copy.copy, copy.deepcopy,
+                   lambda v: pickle.loads(pickle.dumps(v)))
+
+    def test_instance_and_result(self):
+        inst = BEInstance(*S(0, 1, 1, 0, 2, 3, 0, 2, 2))
+        res = be_check(inst)
+        for round_trip in self.ROUND_TRIPS:
+            again = round_trip(inst)
+            assert again == inst
+            assert again.twice_tuple() == inst.twice_tuple()
+            assert round_trip(res) == res
+
+    def test_fields_as_tuple_and_dict(self):
+        inst = BEInstance(*S(0, 1, 1, 0, 2, 3, 0, 2, 2))
+        assert astuple(inst) == tuple(S(0, 1, 1, 0, 2, 3, 0, 2, 2))
+        assert asdict(inst) == dict(zip("abcdefpqr", astuple(inst)))
 
 
 @contextmanager

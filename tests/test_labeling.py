@@ -5,7 +5,13 @@ import pytest
 
 from spinnet.errors import LabelTransferMismatch, TriadViolation
 from spinnet.exactnum import Spin, SqrtRational
-from spinnet.identities import ALL_TRIADS, BEInstance, be_check, iter_be_grid
+from spinnet.identities import (
+    ALL_TRIADS,
+    FIVE_SYMBOLS,
+    BEInstance,
+    be_check,
+    iter_be_grid,
+)
 from spinnet.labeling import (
     LINE_TAG_OF_SYMBOL,
     POINT_TRIADS,
@@ -36,6 +42,20 @@ class TestDictionary:
 
     def test_x_on_the_line_avoiding_the_two_rhs_quadrangles(self):
         assert LINE_TAG_OF_SYMBOL["x"] == "[45]"
+
+    def test_binding_read_off_the_five_symbols(self):
+        assert LINE_TAG_OF_SYMBOL == {
+            "a": "[24]", "b": "[25]", "c": "[35]", "d": "[34]",
+            "e": "[14]", "f": "[15]", "p": "[23]", "q": "[13]",
+            "r": "[12]", "x": "[45]",
+        }
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_tetrahedron_k_carries_symbol_k(self, k):
+        c = the_complex()
+        tet = next(t for t, i in c.tetra_labels.items() if i == k)
+        assert {c.edge_labels[e] for e in c.edges_of_tetrahedron(tet)} == \
+            {LINE_TAG_OF_SYMBOL[n] for n in FIVE_SYMBOLS[k - 1]}
 
     def test_point_triads_are_the_pentagon_triads(self):
         # each point of the configuration is one triad of the pentagon

@@ -156,6 +156,23 @@ class TestSpaceDual:
         assert c.triangle_labels[frozenset({3, 4, 5})] == "<345>"
         assert c.tetra_labels[frozenset({2, 3, 4, 5})] == 1
 
+    @pytest.mark.parametrize("labels", ["vertex_labels", "edge_labels",
+                                        "triangle_labels", "tetra_labels"])
+    def test_one_shared_read_only_complex(self, labels):
+        c = space_dual_desargues(build_desargues())
+        assert space_dual_desargues(build_desargues()) is c
+        face = next(iter(getattr(c, labels)))
+        with pytest.raises(TypeError):
+            getattr(c, labels)[face] = "[99]"
+        assert getattr(c, labels)[face] != "[99]"
+
+    def test_edge_by_label(self):
+        c = space_dual_desargues(build_desargues())
+        for e in c.edges:
+            assert c.edge_by_label(c.edge_labels[e]) is e
+        with pytest.raises(KeyError):
+            c.edge_by_label("[99]")
+
     def test_each_triangle_in_two_tetrahedra(self):
         c = space_dual_desargues(build_desargues())
         for t in c.triangles:
