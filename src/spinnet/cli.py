@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import starmap
 
 from . import kernel
 from .errors import CeilingExceeded, InvalidSpin, SpinnetError, TriadViolation
@@ -61,6 +62,16 @@ MAX_SINGLE_TWICE = 4000
 
 ORTH_NAMES = ("a", "b", "c", "d", "y", "y'")
 
+# the built-in structures, in the order export lists them
+_STRUCTURES = {
+    "desargues": build_desargues,
+    "quadrangle": build_quadrangle,
+    "quadrilateral": lambda: plane_dual(build_quadrangle()),
+    "simplex": lambda: space_dual_desargues(build_desargues()),
+    "cross-section":
+        lambda: cross_section(space_dual_desargues(build_desargues())),
+}
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2)
@@ -68,19 +79,6 @@ def _dump(obj) -> str:
 
 def _line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-class _Out:
-    def __init__(self, path):
-        self._fh = open(path, "w") if path else sys.stdout
-        self._close = bool(path)
-
-    def write(self, text):
-        self._fh.write(text)
-
-    def done(self):
-        if self._close:
-            self._fh.close()
 
 
 def _parse_spins(args, names, twice_mode):
@@ -139,6 +137,11 @@ def _instance_dict(names, spins) -> dict:
     return {n: str(s) for n, s in zip(names, spins)}
 
 
+def _record(instance, res) -> dict:
+    """The json record of one checked instance."""
+    return {"instance": instance, **res.to_json_dict()}
+
+
 def _grid_checks(max_twice, which, literal_form):
     """(instance record, check result) for every instance of one grid."""
     if which == "orthogonality":
@@ -170,14 +173,14 @@ def verify_grid(max_twice: int, which: str, literal_form: bool = False,
         raise CeilingExceeded(
             f"max twice-value {max_twice} exceeds ceiling {ceiling} "
             "(raise it with --ceiling)")
-    return ({"instance": instance, **res.to_json_dict()}
-            for instance, res in _grid_checks(max_twice, which,
-                                              literal_form))
+    return starmap(_record, _grid_checks(max_twice, which, literal_form))
 
 
-def _emit_verification(out, records, which, fmt, sort_records):
-    """Write the records as they come (json), then the summary."""
-    if sort_records and fmt == "json":
+def _verify_all(args, out, which, literal_form=False):
+    """Run one grid; write the records as they come (json), then the summary."""
+    records = verify_grid(args.max_twice, which, literal_form, args.ceiling)
+    fmt = args.format
+    if args.sorted and fmt == "json":
         records = sorted(records, key=lambda r: sorted(r["instance"].items()))
     instances = failures = 0
     for rec in records:
@@ -195,9 +198,7 @@ def _emit_verification(out, records, which, fmt, sort_records):
 
 def _single_result(out, res, instance, fmt):
     if fmt == "json":
-        rec = {"instance": instance}
-        rec.update(res.to_json_dict())
-        out.write(_line(rec) + "\n")
+        out.write(_line(_record(instance, res)) + "\n")
     else:
         status = "holds" if res.equal else "VIOLATED"
         out.write(f"{res.form} {status}: lhs = {res.lhs}, rhs = {res.rhs}\n")
@@ -240,10 +241,7 @@ def _cmd_orbit(args, out):
 
 def _cmd_verify_orth(args, out):
     if args.all:
-        records = verify_grid(args.max_twice, "orthogonality",
-                              ceiling=args.ceiling)
-        return _emit_verification(out, records, "orthogonality",
-                                  args.format, args.sorted)
+        return _verify_all(args, out, "orthogonality")
     spins = _parse_single(args, ORTH_NAMES)
     res = orthogonality_check(*spins)
     return _single_result(out, res, _instance_dict(ORTH_NAMES, spins),
@@ -252,11 +250,7 @@ def _cmd_verify_orth(args, out):
 
 def _cmd_verify_be(args, out):
     if args.all:
-        records = verify_grid(args.max_twice, "be",
-                              literal_form=args.literal_paper_form,
-                              ceiling=args.ceiling)
-        return _emit_verification(out, records, "be", args.format,
-                                  args.sorted)
+        return _verify_all(args, out, "be", args.literal_paper_form)
     spins = _parse_single(args, BE_SYMBOL_NAMES)
     res = be_check(BEInstance(*spins),
                    literal_form=args.literal_paper_form)
@@ -267,9 +261,7 @@ def _cmd_verify_be(args, out):
 def _cmd_verify_pachner(args, out):
     which = "pachner-23" if args.move == "23" else "pachner-14"
     if args.all:
-        records = verify_grid(args.max_twice, which, ceiling=args.ceiling)
-        return _emit_verification(out, records, which, args.format,
-                                  args.sorted)
+        return _verify_all(args, out, which)
     spins = _parse_single(args, BE_SYMBOL_NAMES)
     inst = BEInstance(*spins)
     if args.move == "23":
@@ -304,11 +296,11 @@ def _structure_out(out, structure, fmt):
 
 
 def _cmd_build_desargues(args, out):
-    return _structure_out(out, build_desargues(), args.format)
+    return _structure_out(out, _STRUCTURES["desargues"](), args.format)
 
 
 def _cmd_space_dual(args, out):
-    complex4 = space_dual_desargues(build_desargues())
+    complex4 = _STRUCTURES["simplex"]()
     if args.format == "json":
         out.write(_dump(complex4.to_json_dict()) + "\n")
     else:
@@ -323,13 +315,13 @@ def _cmd_space_dual(args, out):
 
 
 def _cmd_cross_section(args, out):
-    section = cross_section(space_dual_desargues(build_desargues()))
+    section = _STRUCTURES["cross-section"]()
     if args.format == "json":
         data = section.to_json_dict()
         data["validates_10_3"] = validate_configuration(
             section, ConfigurationSignature(10, 3, 10, 3))
-        data["isomorphic_to_original"] = isomorphic(section,
-                                                    build_desargues())
+        data["isomorphic_to_original"] = isomorphic(
+            section, _STRUCTURES["desargues"]())
         out.write(_dump(data) + "\n")
         return 0
     return _structure_out(out, section, args.format)
@@ -351,7 +343,7 @@ def _cmd_label(args, out):
     data = lab.to_json_dict()
     data["valid"] = True
     if args.transfer:
-        sl = transfer_labeling(lab, space_dual_desargues(build_desargues()))
+        sl = transfer_labeling(lab, _STRUCTURES["simplex"]())
         data["tetrahedra"] = {
             f"T{i + 1}": str(sym)
             for i, sym in enumerate(sl.tetrahedron_symbols())}
@@ -402,25 +394,14 @@ def _cmd_regularize(args, out):
 
 
 def _cmd_export(args, out):
-    what = args.what
-    if what == "quadrangle":
-        structure = build_quadrangle()
-    elif what == "quadrilateral":
-        structure = plane_dual(build_quadrangle())
-    elif what == "desargues":
-        structure = build_desargues()
-    elif what == "cross-section":
-        structure = cross_section(space_dual_desargues(build_desargues()))
-    else:  # simplex
-        complex4 = space_dual_desargues(build_desargues())
-        if args.format == "dot":
-            raise SpinnetError("the 4-simplex exports as json only")
-        out.write(_dump(complex4.to_json_dict()) + "\n")
-        return 0
-    if args.format == "dot":
+    structure = _STRUCTURES[args.what]()
+    if args.format == "json":
+        out.write(_dump(structure.to_json_dict()) + "\n")
+    elif args.what == "simplex":
+        raise SpinnetError("the 4-simplex exports as json only")
+    else:
         out.write(structure.to_dot(bipartite=not args.cliques))
-        return 0
-    return _structure_out(out, structure, args.format)
+    return 0
 
 
 def _cmd_amplitudes_enumerate(args, out):
@@ -549,9 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     spin_opts(p)
 
     p = add("export", _cmd_export, help="export a built-in structure")
-    p.add_argument("what", choices=("desargues", "quadrangle",
-                                    "quadrilateral", "simplex",
-                                    "cross-section"))
+    p.add_argument("what", choices=tuple(_STRUCTURES))
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--cliques", action="store_true",
                    help="dot: draw lines as point cliques instead of "
@@ -560,17 +539,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = _Out(getattr(args, "output", None))
+    args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args, out)
+        out = open(args.output, "w") if args.output else sys.stdout
+    except OSError as err:
+        print(f"spinnet: cannot write {args.output}: {err.strerror}",
+              file=sys.stderr)
+        return 2
+    try:
+        return args.fn(args, out)
     except SpinnetError as err:
         print(f"spinnet: {err}", file=sys.stderr)
         return 2
     finally:
-        out.done()
-    return code
+        if out is not sys.stdout:
+            out.close()
 
 
 if __name__ == "__main__":

@@ -361,37 +361,28 @@ def sqrt_rational_add(u: SqrtRational, v: SqrtRational) -> SqrtRational:
     return u + v
 
 
-class FactorialCache:
-    """Memoized arbitrary-precision factorials.
+# factorials below this are memoized; larger ones are computed exactly,
+# just not stored
+_FACTORIAL_MEMO_SIZE = 10_000
+_factorials = [1, 1]
+_factorials_lock = threading.Lock()
 
-    The table grows on demand under a lock, so concurrent readers are
-    safe.  It keeps at most max_size entries (DEFAULT_SIZE unless given);
-    larger arguments are still computed exactly, just not stored.
+
+def factorial(n: int) -> int:
+    """n!, exactly, from a memo that grows on demand.
+
+    The memo grows under a lock, so concurrent readers are safe.
     """
-
-    DEFAULT_SIZE = 10_000
-
-    def __init__(self, max_size: int = DEFAULT_SIZE):
-        self.max_size = max(max_size, 2)
-        self._table = [1, 1]
-        self._lock = threading.Lock()
-
-    def __call__(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"factorial of negative {n}")
-        table = self._table
-        if n < len(table):
-            return table[n]
-        if n >= self.max_size:
-            return math.factorial(n)
-        with self._lock:
-            table = self._table
-            while len(table) <= n:
-                table.append(table[-1] * len(table))
-        return table[n]
-
-
-factorial = FactorialCache()
+    if n < 0:
+        raise ValueError(f"factorial of negative {n}")
+    if n < len(_factorials):
+        return _factorials[n]
+    if n >= _FACTORIAL_MEMO_SIZE:
+        return math.factorial(n)
+    with _factorials_lock:
+        while len(_factorials) <= n:
+            _factorials.append(_factorials[-1] * len(_factorials))
+    return _factorials[n]
 
 
 def phase_from_twice(twice: int) -> int:

@@ -273,32 +273,31 @@ def _be_sides(t, literal_form: bool):
     return _sum(terms), rhs
 
 
-_PACHNER_23_DETAIL = \
-    "x-sum of the three x-tetrahedra vs the two-tetrahedron product"
+# the two readings of one pentagon x-sum: move -> (form, detail)
+_PENTAGON_FORMS = {
+    "be": ("pentagon", ""),
+    "pachner-23": ("pachner-2-3", "x-sum of the three x-tetrahedra vs the "
+                                  "two-tetrahedron product"),
+}
 
 
-def _be_result(t, literal_form: bool) -> ExactCheckResult:
+def _pentagon_result(t, move: str, literal_form: bool) -> ExactCheckResult:
+    form, detail = _PENTAGON_FORMS[move]
     lhs, rhs = _be_sides(t, literal_form)
-    return _result(lhs, rhs,
-                   "pentagon-unweighted" if literal_form else "pentagon")
-
-
-def _pachner_23_result(t, literal_form: bool) -> ExactCheckResult:
-    lhs, rhs = _be_sides(t, literal_form)
-    return _result(lhs, rhs,
-                   "pachner-2-3" + ("-unweighted" if literal_form else ""),
-                   detail=_PACHNER_23_DETAIL)
+    if literal_form:
+        form += "-unweighted"
+    return _result(lhs, rhs, form, detail)
 
 
 def be_check(inst: BEInstance, literal_form: bool = False) -> ExactCheckResult:
     """Exact pentagon-identity check; literal_form drops the (2x+1) weight."""
-    return _be_result(inst._twice, literal_form)
+    return _pentagon_result(inst._twice, "be", literal_form)
 
 
 def pachner_23_check(inst: BEInstance,
                      literal_form: bool = False) -> ExactCheckResult:
     """The 2-3 move: three tetrahedra glued along x against two sharing a face."""
-    return _pachner_23_result(inst._twice, literal_form)
+    return _pentagon_result(inst._twice, "pachner-23", literal_form)
 
 
 def pachner_14_check(inst: BEInstance, p_prime: Spin) -> ExactCheckResult:
@@ -400,11 +399,7 @@ def iter_be_grid_checks(max_twice: int, move: str,
             for p_prime, res in zip(p_primes, rows):
                 yield t + (p_prime.twice,), res
         return
-    if move == "be":
-        check = _be_result
-    elif move == "pachner-23":
-        check = _pachner_23_result
-    else:
+    if move not in _PENTAGON_FORMS:
         raise SpinnetError(f"unknown verification grid {move!r}")
     for t in iter_be_grid(max_twice):
-        yield t, check(t, literal_form)
+        yield t, _pentagon_result(t, move, literal_form)

@@ -74,9 +74,8 @@ def sixj_raw(ta, tb, tx, tc, td, ty):
 
     # sqrt of the product of the four squared triangle coefficients,
     # via prime exponents of the factorials involved
-    num2, den2, rad = _triangle_sqrt(
+    den2, rad = _triangle_sqrt(
         ((ta, tb, tx), (ta, td, ty), (tc, tb, ty), (tc, td, tx)))
-    num *= num2
     den *= den2
     g = gcd(num, den)
     return num // g, den // g, rad
@@ -85,7 +84,9 @@ def sixj_raw(ta, tb, tx, tc, td, ty):
 def _triangle_sqrt(triads):
     """sqrt of prod over triads of (g1)!(g2)!(g3)!/(perim+1)!, exactly.
 
-    Returns (num, den, rad) with a square-free integer radicand.
+    Each factor is 1/((perim+1) * perim!/(g1! g2! g3!)), one over an
+    integer, so no prime has a positive exponent.  Returns (den, rad):
+    the value sqrt(rad)/den, with rad a square-free integer.
     """
     args_plus = []
     args_minus = []
@@ -94,7 +95,7 @@ def _triangle_sqrt(triads):
         args_plus.append((t1 - t2 + t3) // 2)
         args_plus.append((-t1 + t2 + t3) // 2)
         args_minus.append((t1 + t2 + t3) // 2 + 1)
-    num, den, rad = 1, 1, 1
+    den, rad = 1, 1
     for p in _primes_upto(max(args_minus)):
         e = 0
         for n in args_plus:
@@ -104,8 +105,6 @@ def _triangle_sqrt(triads):
         half, odd = divmod(e, 2)
         if odd:
             rad *= p
-        if half > 0:
-            num *= p ** half
-        elif half < 0:
+        if half:
             den *= p ** (-half)
-    return num, den, rad
+    return den, rad

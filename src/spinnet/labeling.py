@@ -28,6 +28,7 @@ from .projective import (
     IncidenceStructure,
     SimplicialComplex4,
     build_desargues,
+    space_dual_desargues,
 )
 from .symmetry import CanonicalQuadruple, running_range
 from .wigner import SixJ, sixj_value, triad_valid_twice
@@ -63,6 +64,12 @@ POINT_TRIADS = tuple(
      tuple(SYMBOL_OF_LINE_TAG[DESARGUES.line_labels[l]]
            for l in DESARGUES.lines_through(p)))
     for p in DESARGUES.points)
+_SIMPLEX = space_dual_desargues(DESARGUES)
+# (triangle tag, its three edges), in triangle order; every
+# SimplicialComplex4 has these faces
+FACE_EDGES = tuple(
+    (_SIMPLEX.triangle_labels[t], _SIMPLEX.edges_of_triangle(t))
+    for t in _SIMPLEX.triangles)
 
 
 def _require_all_symbols(spins: Mapping[str, Spin]) -> dict[str, Spin]:
@@ -140,10 +147,10 @@ def transfer_labeling(d: DesarguesSpinLabeling,
         edge_spins[edge] = spin
 
     violations = []
-    for tri in c.triangles:
-        triple = tuple(edge_spins[e] for e in c.edges_of_triangle(tri))
+    for tag, edges in FACE_EDGES:
+        triple = tuple(edge_spins[e] for e in edges)
         if not triad_valid_twice(*(s.twice for s in triple)):
-            violations.append((c.triangle_labels[tri], (), triple))
+            violations.append((tag, (), triple))
     if violations:
         raise TriadViolation(
             "face triads fail at "

@@ -338,6 +338,18 @@ class TestStructures:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["points"]
 
+    @pytest.mark.parametrize("target, reason", [
+        (("missing", "x"), "No such file or directory"),
+        ((), "Is a directory"),
+    ])
+    def test_output_that_cannot_be_opened_is_usage_error(
+            self, tmp_path, capsys, target, reason):
+        path = str(tmp_path.joinpath(*target))
+        code, out, err = run(capsys, "sixj", "-o", path,
+                             "1", "1", "1", "1", "1", "1")
+        assert code == 2 and out == ""
+        assert err == f"spinnet: cannot write {path}: {reason}\n"
+
 
 class TestLabelAmplitude:
     SPINS = ",".join(f"{s}=1" for s in
@@ -447,6 +459,8 @@ class TestLabelAmplitude:
         assert err.startswith("spinnet: repeated spin symbol ")
 
 
+NINE_ONES = ("1",) * 9
+
 # sha256 of stdout, and the exit code, of grid and symbol commands,
 # recorded before the identity sums moved to integer triples
 GOLDEN = [
@@ -473,12 +487,91 @@ GOLDEN = [
     (("verify-pachner", "--move", "14", "--all", "--max-twice", "3",
       "--format", "json", "--sorted"), 0,
      "69f5b56ede215d4bf128f4c04af96b3ff56ba41b31210cbd8eb46311dd5b4f59"),
+    # recorded before the cli gave each job one code path: the json
+    # records of single-instance checks, the text of the structure and
+    # enumeration commands, a failing amplitude and the exports
+    (("verify-orth", "--format", "json", "1", "1", "1", "1", "1", "1"), 0,
+     "58647182b92b5462c2011c81e8c601c2eef03d100a2dffbc3dc1069536dde854"),
+    (("verify-orth", "--format", "json", "1", "1", "1", "1", "1", "0"), 0,
+     "091ad88f753def0e226d4ee2bf1bfa595ded45cc2fd1b66716e4268529e2ae57"),
+    (("verify-be", "--format", "json", *NINE_ONES), 0,
+     "4a3f16cdb11f0b4517ab46d6f2acf789d849c8f9d15e50a0007d7e122df67c44"),
+    (("verify-be", "--format", "json", "--literal-paper-form", *NINE_ONES), 1,
+     "fa8886b9c8a78cb69c0d774a91a78f7cd939b625d9faabc9be627eb9472875e7"),
+    (("verify-pachner", "--move", "23", "--format", "json", *NINE_ONES), 0,
+     "6ed10ecc4174e737eca840fe90271a451dc170921eaede637aeec62e5f3c5f3f"),
+    (("verify-pachner", "--move", "14", "--p-prime", "1", "--format", "json",
+      *NINE_ONES), 0,
+     "7cdeecf59493c0362374f340e96a55fce34d285d500f4d2682b485eeed99fc5d"),
+    (("verify-pachner", "--move", "14", "--p-prime", "0", "--format", "json",
+      *NINE_ONES), 0,
+     "c5aa315c3e46d095ecf1a6417085d85bbe875cf1a11de5685b800e6b4781f201"),
+    (("build-desargues", "--format", "text"), 0,
+     "58abecc8dcf650674f516a1fbbd3ad0f10fd6539cabfd03685e6db51f4597ac7"),
+    (("space-dual", "--format", "text"), 0,
+     "79294ff4f8d80a35496b8944939941b8c54ac7d32b484991bad8d36c0ba3e8f4"),
+    (("cross-section", "--format", "text"), 0,
+     "b2c4a94fd67df1842889bae8cf26560ea642b60e6dfab2e715722afdc4c7f114"),
+    (("regularize", "--format", "text", "1", "1", "1", "1"), 0,
+     "0b27558b2882de7f1cf001f5101255dc48ed72092c2c30fe929db3a0c08fea6c"),
+    (("enumerate", "--format", "text", "1", "1", "1", "1",
+      "--others", "e=1,f=1,p=1,q=1,r=1"), 0,
+     "12d1ffadc304d1fecf719fbcdea24b4cb562559fd0b4a8eaa53e6c7113bc98a4"),
+    (("amplitude", "--spins", "a=0,b=1,c=1,d=1,e=1,f=1,p=1,q=1,r=1,x=0"), 1,
+     "ec93f49c4fd20c549d3f39297ae871308fb91f73876bc2e76a6c600c2cc8ab93"),
+    (("export", "quadrangle"), 0,
+     "71d3a92be225d53b7a5f6582e4ede3918a07203a41945a9f6fa1b53d26afbbab"),
+    (("export", "desargues"), 0,
+     "6176b756313773dd5fd1f3ce900e9c1c3796a15900346f1019d12f84758f588c"),
+    (("export", "simplex"), 0,
+     "9ac0e6d9c592b8c89e2de69d504f107280f19fb45eee513300e55798b1d67be9"),
+    (("export", "cross-section"), 0,
+     "994a02d17cafbeb292a653fe26bdc274febdf38e519e0a67a57a2fa43d83a767"),
+    (("export", "simplex", "--format", "dot"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # help text, recorded with Python 3.11's argparse at 80 columns
+    (("--help",), 0,
+     "2ca2b5bf22c81d25923803b86696ce24a35b3e15069ef5102e46aa3db7ee9a36"),
+    (("sixj", "--help"), 0,
+     "e0bc4b0c3da760fa01cd3e6f751632fe9203c58e4b96429de162825bf77e5d27"),
+    (("orbit", "--help"), 0,
+     "b929f85a1cbd44141ec6c87ef9366a6fba26e441525a854800be761d4720517d"),
+    (("verify-orth", "--help"), 0,
+     "6f88ac3a8ebf7207c03302e1879a2ca095a84539acefc85e830685bdb2d93867"),
+    (("verify-be", "--help"), 0,
+     "eea9569bbb09469f08363ecd258a99886824130480311bffdeb4a84beec61e45"),
+    (("verify-pachner", "--help"), 0,
+     "98e5b619a2eae8eaf9e5dd6c0dc3ecb4aa8010bccb9461746e9d463f55e3f97d"),
+    (("build-desargues", "--help"), 0,
+     "bf68de523637c6c173b90034f95031c821c800d0f1af04baae52b2ec7e1b9b9f"),
+    (("space-dual", "--help"), 0,
+     "229a420128f0ccc3b00599e1618af14136d43098aec2f7006b5c598ef8967791"),
+    (("cross-section", "--help"), 0,
+     "dbb8f6f6e64f3d3e3baf3425d951954cb29fa49ea179b5c3cbed30c81ba60215"),
+    (("label", "--help"), 0,
+     "6e8bfe296d07daff3cdf1cdc71af580da7d567185fcdb6eeb6d0a728feeee018"),
+    (("amplitude", "--help"), 0,
+     "31eebe4c0d4f2475487bd035b8a209157ba79f137bf5296f3119e106dd1e9c79"),
+    (("regularize", "--help"), 0,
+     "421ca29f0fffc6c893f33490c098d7237b12f9c03699a91c32b699373da0fc94"),
+    (("enumerate", "--help"), 0,
+     "9fb1301a62ce92b609fa37188f0e7d866d12000711d26aba408e89019582d145"),
+    (("export", "--help"), 0,
+     "11c744a0aef5a56e519d95d7701b9a0f737d4f332290feb74e1c73c9d0da1c7d"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", GOLDEN,
                          ids=[" ".join(g[0]) for g in GOLDEN])
-def test_golden_bytes(capsys, argv, code, digest):
-    got, out, _ = run(capsys, *argv)
+def test_golden_bytes(capsys, monkeypatch, argv, code, digest):
+    if argv[-1] == "--help":
+        if sys.version_info[:2] != (3, 11):
+            pytest.skip("help text differs between argparse versions")
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        got, out = exc.value.code, capsys.readouterr().out
+    else:
+        got, out, _ = run(capsys, *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

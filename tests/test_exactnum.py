@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from spinnet import exactnum
 from spinnet.errors import IncompatibleRadicands, InvalidSpin, PhaseParityError
 from spinnet.exactnum import (
-    FactorialCache,
     Spin,
     SqrtRational,
     factorial,
@@ -293,9 +292,10 @@ class TestFactorial:
             assert factorial(n) == math.factorial(n)
 
     def test_cap_does_not_change_values(self):
-        small = FactorialCache(max_size=4)
-        assert small(10) == math.factorial(10)
-        assert len(small._table) <= 4
+        size = exactnum._FACTORIAL_MEMO_SIZE
+        for k in (0, 1, 7):
+            assert factorial(size + k) == math.factorial(size + k)
+        assert len(exactnum._factorials) <= size
 
     def test_negative(self):
         with pytest.raises(ValueError):

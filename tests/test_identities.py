@@ -17,6 +17,7 @@ from spinnet import identities
 from spinnet.errors import IncompatibleRadicands, InvalidInstance, SpinnetError
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.identities import (
+    BE_SYMBOL_NAMES,
     BEInstance,
     FIVE_SYMBOLS,
     X_FREE_TRIADS,
@@ -494,3 +495,30 @@ class TestBEGridChecks:
     def test_unknown_move(self):
         with pytest.raises(SpinnetError, match="unknown verification grid"):
             next(iter_be_grid_checks(1, "pachner-33"))
+
+
+class TestPentagonSymbolLookups:
+    def test_be_sides_reads_the_five_symbols_slot_for_slot(
+            self, monkeypatch):
+        # _be_sides spells the five symbols out as literal twice tuples;
+        # its lookups must be those of FIVE_SYMBOLS, slot for slot: for
+        # each x the three symbols carrying x, then the two fixed ones.
+        # Nine distinct twice-values and x = 6 tell every slot apart.
+        t = (5, 1, 3, 7, 4, 8, 2, 11, 9)
+        looked_up = []
+        cached = identities._sixj_cached
+        monkeypatch.setattr(identities, "_sixj_cached",
+                            lambda s: looked_up.append(s) or cached(s))
+        lhs, rhs = identities._be_sides(t, literal_form=False)
+        assert lhs == rhs
+        twice = dict(zip(BE_SYMBOL_NAMES, t))
+
+        def symbol(names, tx=None):
+            return tuple(tx if n == "x" else twice[n] for n in names)
+
+        with_x = [names for names in FIVE_SYMBOLS if "x" in names]
+        fixed = [names for names in FIVE_SYMBOLS if "x" not in names]
+        assert len(with_x) == 3 and len(fixed) == 2
+        assert looked_up == (
+            [symbol(names, tx) for tx in (4, 6) for names in with_x]
+            + [symbol(names) for names in fixed])

@@ -16,6 +16,7 @@ from spinnet.labeling import (
     LINE_TAG_OF_SYMBOL,
     POINT_TRIADS,
     SYMBOLS,
+    DesarguesSpinLabeling,
     label_desargues,
     network_amplitude,
     regularized_enumeration,
@@ -172,6 +173,22 @@ class TestTransfer:
         lab = label_desargues(constant_map(0))
         with pytest.raises(LabelTransferMismatch):
             transfer_labeling(lab, Hollow())
+
+    def test_broken_face_triad(self):
+        # label_desargues rejects this labeling at a point, so it is built
+        # by hand: twice-value 0 on [12] and [13] breaks the face <123>
+        # alone, the faces through only one of them read (0, 2, 2)
+        lab = label_desargues(constant_map(2))
+        tags = lab.structure.line_labels
+        line_spins = {l: Spin(0) if tags[l] in ("[12]", "[13]") else s
+                      for l, s in lab.line_spins.items()}
+        broken = DesarguesSpinLabeling(lab.structure, line_spins,
+                                       lab.symbol_spins)
+        with pytest.raises(TriadViolation) as err:
+            transfer_labeling(broken, the_complex())
+        assert str(err.value) == "face triads fail at <123>"
+        assert err.value.violations == (
+            ("<123>", (), (Spin(0), Spin(0), Spin(2))),)
 
 
 class TestAmplitude:
