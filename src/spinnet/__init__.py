@@ -3,14 +3,10 @@ networks built from five quadrangles up to the 4-simplex."""
 
 from . import errors
 from .exactnum import (
-    Rational,
     Spin,
     SqrtRational,
     factorial,
     phase_from_twice,
-    spin_from_twice,
-    sqrt_rational_add,
-    sqrt_rational_mul,
 )
 from .identities import (
     BEInstance,
@@ -55,12 +51,7 @@ from .symmetry import (
 )
 from .wigner import (
     SixJ,
-    Triad,
-    sixj_admissible_x,
-    sixj_dimension_weight,
-    sixj_or_zero,
     sixj_value,
-    triad_valid,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +63,6 @@ __all__ = [
     "DesarguesSpinLabeling",
     "ExactCheckResult",
     "IncidenceStructure",
-    "Rational",
     "RegularizationReport",
     "SimplexSpinLabeling",
     "SimplicialComplex4",
@@ -80,7 +70,6 @@ __all__ = [
     "SixJSymmetryElement",
     "Spin",
     "SqrtRational",
-    "Triad",
     "be_check",
     "build_desargues",
     "build_quadrangle",
@@ -102,17 +91,10 @@ __all__ = [
     "regularization_bounds",
     "regularized_enumeration",
     "running_range",
-    "sixj_admissible_x",
-    "sixj_dimension_weight",
-    "sixj_or_zero",
     "sixj_value",
     "space_dual_desargues",
-    "spin_from_twice",
-    "sqrt_rational_add",
-    "sqrt_rational_mul",
     "symmetry_group",
     "symmetry_orbit",
     "transfer_labeling",
-    "triad_valid",
     "validate_configuration",
 ]

@@ -2,14 +2,16 @@
 
 Exit codes: 0 on success (and identities holding), 1 when a requested
 verification finds a violation or a labeling fails its triads, 2 for
-usage errors.  Output is byte-for-byte deterministic for fixed inputs;
-verification records stream as JSON lines.
+usage errors and for output that cannot be written.  Output is
+byte-for-byte deterministic for fixed inputs; verification records
+stream as JSON lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import starmap
 
@@ -61,6 +63,8 @@ DEFAULT_CEILING = 6
 MAX_SINGLE_TWICE = 4000
 
 ORTH_NAMES = ("a", "b", "c", "d", "y", "y'")
+
+GRID_KINDS = ("orthogonality", "be", "pachner-23", "pachner-14")
 
 # the built-in structures, in the order export lists them
 _STRUCTURES = {
@@ -162,11 +166,13 @@ def verify_grid(max_twice: int, which: str, literal_form: bool = False,
                 ceiling: int = DEFAULT_CEILING):
     """Exhaustive verification: an iterator of records in grid order.
 
-    which is one of 'orthogonality', 'be', 'pachner-23', 'pachner-14'.
-    Each record is checked as it is drawn.  Raises CeilingExceeded when
-    max_twice overshoots the runtime guard and SpinnetError when it is
-    negative (an empty grid), both before the first record.
+    which is one of GRID_KINDS.  Each record is checked as it is drawn.
+    Raises CeilingExceeded when max_twice overshoots the runtime guard,
+    and SpinnetError when it is negative (an empty grid) or which is
+    unknown, all before the first record.
     """
+    if which not in GRID_KINDS:
+        raise SpinnetError(f"unknown verification grid {which!r}")
     if max_twice < 0:
         raise SpinnetError(f"max twice-value {max_twice} is negative")
     if max_twice > ceiling:
@@ -540,20 +546,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    target = args.output or "stdout"
     try:
         out = open(args.output, "w") if args.output else sys.stdout
     except OSError as err:
-        print(f"spinnet: cannot write {args.output}: {err.strerror}",
+        print(f"spinnet: cannot write {target}: {err.strerror}",
               file=sys.stderr)
         return 2
     try:
-        return args.fn(args, out)
+        try:
+            return args.fn(args, out)
+        finally:
+            # flushed here, so that a write that fails is reported below
+            if out is sys.stdout:
+                out.flush()
+            else:
+                out.close()
     except SpinnetError as err:
         print(f"spinnet: {err}", file=sys.stderr)
         return 2
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    except OSError as err:
+        if out is sys.stdout:
+            _discard_stdout()
+        print(f"spinnet: cannot write {target}: {err.strerror}",
+              file=sys.stderr)
+        return 2
+
+
+def _discard_stdout():
+    """Point stdout at the null device after a failed write.
+
+    The interpreter flushes stdout again at exit, and the output still
+    buffered would fail a second time.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return  # not a file descriptor, so not flushed to one at exit
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

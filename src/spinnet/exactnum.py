@@ -1,11 +1,12 @@
 """Exact arithmetic substrate: spins, rationals and c*sqrt(r) values.
 
 Spins are stored as twice-values (2j) so that all triangle and parity
-arguments reduce to integer comparisons and evenness tests.  Rational is
-the stdlib Fraction, which already guarantees lowest terms and a positive
-denominator.  SqrtRational is the closure needed by exact recoupling
-coefficients: a rational multiple of the square root of a square-free
-non-negative integer.
+arguments reduce to integer comparisons and evenness tests.  SqrtRational
+is the closure needed by exact recoupling coefficients: a rational
+multiple of the square root of a square-free non-negative integer.
+Inside the library the same value travels as a (num, den, rad) triple,
+and the triple helpers below are the one place where values are
+multiplied, added and reduced.
 """
 
 from __future__ import annotations
@@ -16,19 +17,14 @@ import sys
 import threading
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 
 from .errors import IncompatibleRadicands, InvalidSpin, PhaseParityError
 
-# The exact-rational substrate is the stdlib Fraction: reduced, den > 0.
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Spin",
     "SqrtRational",
-    "spin_from_twice",
-    "sqrt_rational_add",
-    "sqrt_rational_mul",
+    "ZERO_TRIPLE",
     "factorial",
     "phase_from_twice",
     "square_free_split",
@@ -102,11 +98,6 @@ class Spin:
         return f"Spin({self.twice})"
 
 
-def spin_from_twice(t: int) -> Spin:
-    """Build the spin j = t/2; rejects negative t with InvalidSpin."""
-    return Spin(t)
-
-
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n = s*s*r with r square-free; returns (s, r).  Requires n >= 1.
 
@@ -145,6 +136,69 @@ def _trial_divisors():
         p += 6
 
 
+# Exact values inside the library are (num, den, rad) triples, the
+# kernel's own form: (num/den)*sqrt(rad) with rad square-free.  A
+# product multiplies radicands by the gcd rule r1*r2 = g**2*(r1/g)*(r2/g),
+# g = gcd(r1, r2), so no radicand is ever factored again.
+
+ZERO_TRIPLE = (0, 1, 1)
+
+
+def _product(values, weight=1):
+    """weight * prod(values), unreduced: (num, den, rad) with den > 0."""
+    num, den, rad = weight, 1, 1
+    for n, d, r in values:
+        if not n:
+            return ZERO_TRIPLE
+        g = gcd(rad, r)
+        num *= n * g
+        den *= d
+        rad = (rad // g) * (r // g)
+    return num, den, rad
+
+
+def _reduce(num, den, rad):
+    """The canonical triple of (num/den)*sqrt(rad)."""
+    if not num:
+        return ZERO_TRIPLE
+    g = gcd(num, den)
+    return num // g, den // g, rad
+
+
+def _sum(terms):
+    """Canonical triple of a sum of unreduced triples.
+
+    The terms are accumulated over a common denominator and reduced once.
+    Raises IncompatibleRadicands when two nonzero terms have different
+    radicands.
+    """
+    num, den, rad = 0, 1, None
+    for n, d, r in terms:
+        if not n:
+            continue
+        if rad is None:
+            rad = r
+        elif r != rad:
+            raise IncompatibleRadicands(
+                f"cannot add sqrt({rad}) and sqrt({r}) terms")
+        if den % d:
+            m = lcm(den, d)
+            num = num * (m // den) + n * (m // d)
+            den = m
+        else:
+            num += n * (den // d)
+    return _reduce(num, den, rad)
+
+
+def _triple(v):
+    """The (num, den, rad) triple of an int, Fraction or SqrtRational."""
+    if isinstance(v, SqrtRational):
+        return v.coeff.numerator, v.coeff.denominator, v.radicand
+    if isinstance(v, (int, Fraction)):
+        return v.numerator, v.denominator, 1
+    return None
+
+
 class SqrtRational:
     """The exact value coeff * sqrt(radicand).
 
@@ -153,9 +207,8 @@ class SqrtRational:
     whenever coeff == 0.  Equal values therefore have equal fields.
 
     The constructor accepts any rational radicand and splits off its
-    square part; the arithmetic keeps the form without splitting again.
-    Two square-free radicands r1, r2 with g = gcd(r1, r2) multiply to
-    g**2 * (r1/g) * (r2/g), and (r1/g) * (r2/g) is square-free.
+    square part; the arithmetic runs on the (num, den, rad) triple helpers
+    above, which keep the form without splitting again.
     """
 
     __slots__ = ("coeff", "radicand")
@@ -199,10 +252,6 @@ class SqrtRational:
     @classmethod
     def zero(cls) -> "SqrtRational":
         return cls(0)
-
-    @classmethod
-    def one(cls) -> "SqrtRational":
-        return cls(1)
 
     @classmethod
     def sqrt(cls, q) -> "SqrtRational":
@@ -255,14 +304,8 @@ class SqrtRational:
     def __add__(self, other):
         if not isinstance(other, SqrtRational):
             return NotImplemented
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.radicand != other.radicand:
-            raise IncompatibleRadicands(
-                f"cannot add sqrt({self.radicand}) and sqrt({other.radicand}) terms")
-        return SqrtRational._canonical(self.coeff + other.coeff, self.radicand)
+        return SqrtRational._from_triple(*_sum((_triple(self),
+                                                _triple(other))))
 
     def __sub__(self, other):
         if not isinstance(other, SqrtRational):
@@ -270,29 +313,26 @@ class SqrtRational:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SqrtRational._canonical(self.coeff * other, self.radicand)
-        if not isinstance(other, SqrtRational):
+        factor = _triple(other)
+        if factor is None:
             return NotImplemented
-        g = math.gcd(self.radicand, other.radicand)
-        return SqrtRational._canonical(
-            self.coeff * other.coeff * g,
-            (self.radicand // g) * (other.radicand // g))
+        return self._times(factor)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SqrtRational._canonical(self.coeff / other, self.radicand)
-        if not isinstance(other, SqrtRational):
+        factor = _triple(other)
+        if factor is None:
             return NotImplemented
-        if other.coeff == 0:
+        n, d, r = factor
+        if not n:
             raise ZeroDivisionError("division by zero SqrtRational")
-        # c1*sqrt(g*u) / (c2*sqrt(g*v)) == c1/(c2*v) * sqrt(u*v)
-        g = math.gcd(self.radicand, other.radicand)
-        v = other.radicand // g
-        return SqrtRational._canonical(self.coeff / (other.coeff * v),
-                                       (self.radicand // g) * v)
+        # 1/((n/d)*sqrt(r)) == (d/(n*r))*sqrt(r), with a positive den
+        return self._times((d, n * r, r) if n > 0 else (-d, -n * r, r))
+
+    def _times(self, factor):
+        return SqrtRational._from_triple(
+            *_reduce(*_product((_triple(self), factor))))
 
     def to_float(self) -> float:
         """Floating approximation, for display only."""
@@ -349,16 +389,6 @@ def _decimal(n: int) -> str:
         n, low = divmod(n, _PIECE)
         pieces.append(f"{low:0{_PIECE_DIGITS}d}")
     return str(n) + "".join(reversed(pieces))
-
-
-def sqrt_rational_mul(u: SqrtRational, v: SqrtRational) -> SqrtRational:
-    """Exact normalized product of two sqrt-rational values."""
-    return u * v
-
-
-def sqrt_rational_add(u: SqrtRational, v: SqrtRational) -> SqrtRational:
-    """Exact sum; defined only for equal radicands or a zero operand."""
-    return u + v
 
 
 # factorials below this are memoized; larger ones are computed exactly,

@@ -26,7 +26,6 @@ factor is ever introduced).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from .errors import (
     IncompatibleRadicands,
@@ -34,10 +33,16 @@ from .errors import (
     PhaseParityError,
     SpinnetError,
 )
-from .exactnum import Spin, SqrtRational
+from .exactnum import (
+    ZERO_TRIPLE,
+    Spin,
+    SqrtRational,
+    _product,
+    _reduce,
+    _sum,
+)
 from .wigner import (
     TRIAD_SLOTS,
-    ZERO_TRIPLE,
     _sixj_cached,
     admissible_x_twice,
     triad_valid_twice,
@@ -171,57 +176,6 @@ def _result(lhs, rhs, form, detail="") -> ExactCheckResult:
     return ExactCheckResult(SqrtRational._from_triple(*lhs),
                             SqrtRational._from_triple(*rhs),
                             lhs == rhs, form, detail)
-
-
-# Exact values inside the verifiers are (num, den, rad) triples, the
-# kernel's own form: (num/den)*sqrt(rad) with rad square-free.  A
-# product multiplies radicands by the gcd rule r1*r2 = g**2*(r1/g)*(r2/g),
-# g = gcd(r1, r2), so no radicand is ever factored again.
-
-def _product(values, weight=1):
-    """weight * prod(values), unreduced: (num, den, rad) with den > 0."""
-    num, den, rad = weight, 1, 1
-    for n, d, r in values:
-        if not n:
-            return ZERO_TRIPLE
-        g = gcd(rad, r)
-        num *= n * g
-        den *= d
-        rad = (rad // g) * (r // g)
-    return num, den, rad
-
-
-def _reduce(num, den, rad):
-    """The canonical triple of (num/den)*sqrt(rad)."""
-    if not num:
-        return ZERO_TRIPLE
-    g = gcd(num, den)
-    return num // g, den // g, rad
-
-
-def _sum(terms):
-    """Canonical triple of a sum of unreduced triples.
-
-    The terms are accumulated over a common denominator and reduced once.
-    Raises IncompatibleRadicands when two nonzero terms have different
-    radicands.
-    """
-    num, den, rad = 0, 1, None
-    for n, d, r in terms:
-        if not n:
-            continue
-        if rad is None:
-            rad = r
-        elif r != rad:
-            raise IncompatibleRadicands(
-                f"cannot add sqrt({rad}) and sqrt({r}) terms")
-        if den % d:
-            m = lcm(den, d)
-            num = num * (m // den) + n * (m // d)
-            den = m
-        else:
-            num += n * (den // d)
-    return _reduce(num, den, rad)
 
 
 def _orthogonality_sides(ta, tb, tc, td, ty, typ):

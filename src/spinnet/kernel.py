@@ -11,9 +11,7 @@ a few multiplications by small integers rather than a rebuild of the
 falling factorials of every term.
 """
 
-from math import gcd
-
-from .exactnum import factorial
+from .exactnum import ZERO_TRIPLE, _reduce, factorial
 
 
 def backend() -> str:
@@ -65,7 +63,7 @@ def sixj_raw(ta, tb, tx, tc, td, ty):
         n = q * d - (z + 2) * (b1 - z) * (b2 - z) * (b3 - z) * n
         d *= q
     if n == 0:
-        return 0, 1, 1
+        return ZERO_TRIPLE
     num = factorial(zmin + 1) * (-n if zmin % 2 else n)
     den = (factorial(zmax - a1) * factorial(zmax - a2)
            * factorial(zmax - a3) * factorial(zmax - a4)
@@ -76,9 +74,7 @@ def sixj_raw(ta, tb, tx, tc, td, ty):
     # via prime exponents of the factorials involved
     den2, rad = _triangle_sqrt(
         ((ta, tb, tx), (ta, td, ty), (tc, tb, ty), (tc, td, tx)))
-    den *= den2
-    g = gcd(num, den)
-    return num // g, den // g, rad
+    return _reduce(num, den * den2, rad)
 
 
 def _triangle_sqrt(triads):

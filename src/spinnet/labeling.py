@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import LabelTransferMismatch, MissingSymbol, TriadViolation
-from .exactnum import Spin, SqrtRational
+from .exactnum import Spin, SqrtRational, _product, _reduce
 from .identities import BE_SYMBOL_NAMES, FIVE_SYMBOLS
 from .projective import (
     IncidenceStructure,
@@ -31,7 +31,7 @@ from .projective import (
     space_dual_desargues,
 )
 from .symmetry import CanonicalQuadruple, running_range
-from .wigner import SixJ, sixj_value, triad_valid_twice
+from .wigner import SixJ, _sixj_cached, triad_valid_twice
 
 __all__ = [
     "SYMBOLS",
@@ -160,10 +160,8 @@ def transfer_labeling(d: DesarguesSpinLabeling,
 
 def network_amplitude(d: DesarguesSpinLabeling) -> SqrtRational:
     """Product of the five quadrangle 6j values (no internal summation)."""
-    amp = SqrtRational.one()
-    for symbol in d.quadrangle_symbols():
-        amp = amp * sixj_value(symbol)
-    return amp
+    return SqrtRational._from_triple(*_reduce(*_product(
+        _sixj_cached(s.twice_tuple()) for s in d.quadrangle_symbols())))
 
 
 def regularized_enumeration(q: CanonicalQuadruple,

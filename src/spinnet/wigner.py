@@ -4,8 +4,9 @@ A 6j symbol {a b x; c d y} couples the four triads (abx), (bcy), (cdx),
 (ady).  Values are computed by the exact single-sum evaluation over
 arbitrary-precision integers (see spinnet.kernel); an out-of-triad
 symbol raises InvalidTriads rather than returning 0, so enumeration bugs
-in identity verifiers cannot hide behind silent zeros.  sixj_or_zero is
-the wrapper meant for delta-constrained sum-style formulas.
+in identity verifiers cannot hide behind silent zeros.
+sixj_or_zero_twice, which returns exact zero there instead, is kept as
+the reference for the former sum-style evaluation.
 
 The value cache holds the kernel's own (num, den, rad) triple.  The
 identity sums read it straight from _sixj_cached, because every symbol
@@ -21,17 +22,14 @@ from functools import lru_cache
 
 from . import kernel
 from .errors import InvalidTriads
-from .exactnum import Spin, SqrtRational
+from .exactnum import ZERO_TRIPLE, Spin, SqrtRational
 
 __all__ = [
-    "Triad",
     "SixJ",
-    "triad_valid",
+    "admissible_x_twice",
     "triad_valid_twice",
-    "sixj_admissible_x",
     "sixj_value",
-    "sixj_or_zero",
-    "sixj_dimension_weight",
+    "sixj_value_twice",
 ]
 
 
@@ -41,41 +39,6 @@ def triad_valid_twice(t1: int, t2: int, t3: int) -> bool:
         (t1 + t2 + t3) % 2 == 0
         and abs(t1 - t2) <= t3 <= t1 + t2
     )
-
-
-def triad_valid(j1: Spin, j2: Spin, j3: Spin) -> bool:
-    """True iff (j1, j2, j3) is a coupling triad."""
-    return triad_valid_twice(j1.twice, j2.twice, j3.twice)
-
-
-@dataclass(frozen=True)
-class Triad:
-    """An unordered coupling triple of spins."""
-
-    j1: Spin
-    j2: Spin
-    j3: Spin
-
-    def __post_init__(self):
-        if not triad_valid(self.j1, self.j2, self.j3):
-            raise InvalidTriads(
-                f"({self.j1}, {self.j2}, {self.j3}) is not a triad",
-                triads=[(self.j1, self.j2, self.j3)])
-
-    def spins(self) -> tuple[Spin, Spin, Spin]:
-        return (self.j1, self.j2, self.j3)
-
-    def _key(self):
-        return tuple(sorted((self.j1.twice, self.j2.twice, self.j3.twice)))
-
-    def __eq__(self, other):
-        return isinstance(other, Triad) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(("Triad", self._key()))
-
-    def __str__(self):
-        return f"({self.j1}, {self.j2}, {self.j3})"
 
 
 # slots of (a, b, x, c, d, y) forming the four triads of the symbol
@@ -126,12 +89,6 @@ def invalid_triads_twice(t) -> list[tuple[Fraction, ...]]:
     return bad
 
 
-def sixj_admissible_x(a: Spin, b: Spin, c: Spin, d: Spin) -> list[Spin]:
-    """All x with (abx) and (cdx) valid, ascending; may be empty."""
-    return [Spin(t) for t in admissible_x_twice(a.twice, b.twice,
-                                                c.twice, d.twice)]
-
-
 def admissible_x_twice(*twice) -> range:
     """Twice-values x, ascending, with every (u v x) a triad.
 
@@ -174,22 +131,9 @@ def sixj_value_twice(t: tuple[int, int, int, int, int, int]) -> SqrtRational:
     return SqrtRational._from_triple(*_sixj_cached(t))
 
 
-ZERO_TRIPLE = (0, 1, 1)
-
-
-def sixj_or_zero(a: Spin, b: Spin, x: Spin, c: Spin, d: Spin,
-                 y: Spin) -> SqrtRational:
-    """Value if all four triads hold, else exact zero (for sum formulas)."""
-    return sixj_or_zero_twice((a.twice, b.twice, x.twice,
-                               c.twice, d.twice, y.twice))
-
-
 def sixj_or_zero_twice(t) -> SqrtRational:
+    """Value if all four triads hold, else exact zero."""
     if invalid_triads_twice(t):
         return SqrtRational._from_triple(*ZERO_TRIPLE)
     return SqrtRational._from_triple(*_sixj_cached(tuple(t)))
 
-
-def sixj_dimension_weight(j: Spin) -> Fraction:
-    """The weight 2j + 1 as an exact rational."""
-    return Fraction(j.twice + 1)

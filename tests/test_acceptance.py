@@ -5,11 +5,11 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines.  Everything is exact arithmetic; no tolerances appear anywhere.
 """
 
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 
 import pytest
-from oracles import sixj_one_zero, sixj_via_threej
+from oracles import sixj_one_zero, sixj_via_threej, split_mul
 from spinnet.errors import TriadViolation
 from spinnet.exactnum import Spin
 from spinnet.identities import (
@@ -238,6 +238,20 @@ def test_criterion_09_labeling_transfer():
           f"twice <= 4 transfer with symbol-by-symbol value equality; "
           f"each of the {len(ONE_POINT_BROKEN)} point triads broken alone "
           f"is rejected at that point only")
+
+
+def test_network_amplitude_matches_the_split_product():
+    # the former path: the five symbol values multiplied one by one,
+    # each product renormalised by factoring its radicand
+    labelings = all_valid_labelings()
+    for t in labelings:
+        lab = label_desargues(spins_of(t))
+        expected = reduce(split_mul,
+                          (sixj_value(s) for s in lab.quadrangle_symbols()))
+        assert network_amplitude(lab) == expected, t
+    print(f"PASS amplitude: the five-symbol product equals the split "
+          f"product of the five values on all {len(labelings)} valid "
+          f"labelings with twice <= 4")
 
 
 def _vertex_map_on_symbols(perm):

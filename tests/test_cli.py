@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +279,10 @@ class TestVerify:
         with pytest.raises(SpinnetError, match="negative"):
             verify_grid(-1, "be")
 
+    def test_verify_grid_unknown_kind_is_error_at_the_call(self):
+        with pytest.raises(SpinnetError, match="unknown verification grid"):
+            verify_grid(2, "foo")
+
     @pytest.mark.parametrize("command, max_twice",
                              [("verify-orth", "-1"), ("verify-be", "-3")])
     def test_empty_grid_is_usage_error(self, capsys, command, max_twice):
@@ -349,6 +356,48 @@ class TestStructures:
                              "1", "1", "1", "1", "1", "1")
         assert code == 2 and out == ""
         assert err == f"spinnet: cannot write {path}: {reason}\n"
+
+
+def spinnet_process(argv, **kwargs):
+    """The spinnet command as a child process, reading this checkout."""
+    src = str(Path(spinnet.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-m", "spinnet.cli", *argv],
+                            stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+class TestOutputErrors:
+    """A failed write ends in one message and exit 2, not a traceback."""
+
+    def test_closed_pipe(self):
+        proc = spinnet_process(["verify-orth", "--all", "--max-twice", "4",
+                                "--format", "json"], stdout=subprocess.PIPE)
+        with proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()  # the reader goes away, as `| head -1` does
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert json.loads(first)["equal"]
+        assert code == 2
+        assert err == "spinnet: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs the /dev/full device")
+    @pytest.mark.parametrize("target", ["/dev/full", "stdout"])
+    def test_full_device(self, target):
+        argv = ["sixj", "1", "1", "1", "1", "1", "1"]
+        with open("/dev/full", "w") as full:
+            if target == "stdout":
+                proc = spinnet_process(argv, stdout=full)
+            else:
+                proc = spinnet_process(argv + ["-o", target],
+                                       stdout=subprocess.DEVNULL)
+            with proc:
+                err = proc.stderr.read().decode()
+                code = proc.wait(timeout=60)
+        assert code == 2
+        assert err == (f"spinnet: cannot write {target}: "
+                       "No space left on device\n")
 
 
 class TestLabelAmplitude:

@@ -17,9 +17,6 @@ from spinnet.exactnum import (
     SqrtRational,
     factorial,
     phase_from_twice,
-    spin_from_twice,
-    sqrt_rational_add,
-    sqrt_rational_mul,
     square_free_split,
 )
 from spinnet.wigner import SixJ, sixj_value_twice
@@ -27,13 +24,13 @@ from spinnet.wigner import SixJ, sixj_value_twice
 
 class TestSpin:
     def test_from_twice(self):
-        assert spin_from_twice(0).j == 0
-        assert spin_from_twice(1).j == Fraction(1, 2)
-        assert spin_from_twice(4).j == 2
+        assert Spin(0).j == 0
+        assert Spin(1).j == Fraction(1, 2)
+        assert Spin(4).j == 2
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidSpin):
-            spin_from_twice(-1)
+            Spin(-1)
 
     def test_non_integer_rejected(self):
         with pytest.raises(InvalidSpin):
@@ -84,33 +81,31 @@ class TestSquareFreeSplit:
 
 class TestSqrtRational:
     def test_mul_like_radicals(self):
-        two = sqrt_rational_mul(SqrtRational(1, 2), SqrtRational(1, 2))
+        two = SqrtRational(1, 2) * SqrtRational(1, 2)
         assert two == SqrtRational(2, 1)
 
     def test_mul_zero_absorbs(self):
-        z = sqrt_rational_mul(SqrtRational(Fraction(3, 2)), SqrtRational(0))
+        z = SqrtRational(Fraction(3, 2)) * SqrtRational(0)
         assert z == SqrtRational(0)
         assert z.radicand == 1
 
     def test_mul_rational_radicand(self):
         # sqrt(2/3) * sqrt(6) = sqrt(4) = 2
-        prod = sqrt_rational_mul(SqrtRational(1, Fraction(2, 3)),
-                                 SqrtRational(1, 6))
+        prod = SqrtRational(1, Fraction(2, 3)) * SqrtRational(1, 6)
         assert prod == SqrtRational(2)
 
     def test_add_like_terms(self):
-        total = sqrt_rational_add(SqrtRational(Fraction(1, 2), 3),
-                                  SqrtRational(Fraction(1, 3), 3))
+        total = SqrtRational(Fraction(1, 2), 3) + SqrtRational(Fraction(1, 3), 3)
         assert total == SqrtRational(Fraction(5, 6), 3)
 
     def test_add_zero_identity(self):
         x = SqrtRational(Fraction(7, 3), 5)
-        assert sqrt_rational_add(x, SqrtRational(0)) == x
-        assert sqrt_rational_add(SqrtRational(0), x) == x
+        assert x + SqrtRational(0) == x
+        assert SqrtRational(0) + x == x
 
     def test_add_unlike_radicals_rejected(self):
         with pytest.raises(IncompatibleRadicands):
-            sqrt_rational_add(SqrtRational(1, 2), SqrtRational(1, 3))
+            SqrtRational(1, 2) + SqrtRational(1, 3)
 
     def test_normalization_perfect_square(self):
         assert SqrtRational(1, Fraction(9, 4)) == SqrtRational(Fraction(3, 2))
@@ -163,6 +158,12 @@ class TestSqrtRational:
         v = SqrtRational(Fraction(3, 2), 5)
         assert v / v == SqrtRational(1)
         assert (v / SqrtRational(1, 5)) == SqrtRational(Fraction(3, 2))
+        assert v / SqrtRational(-2, 15) == SqrtRational(Fraction(-1, 4), 3)
+        assert v / Fraction(-3, 4) == SqrtRational(-2, 5)
+        assert 2 * v / 3 == SqrtRational(1, 5)
+        for zero in (0, Fraction(0), SqrtRational(0)):
+            with pytest.raises(ZeroDivisionError):
+                v / zero
 
     def test_str_parse_roundtrip(self):
         v = SqrtRational(Fraction(-1, 6))

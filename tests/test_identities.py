@@ -15,13 +15,12 @@ from oracles import (
 )
 from spinnet import identities
 from spinnet.errors import IncompatibleRadicands, InvalidInstance, SpinnetError
-from spinnet.exactnum import Spin, SqrtRational
+from spinnet.exactnum import ZERO_TRIPLE, Spin, SqrtRational, _sum
 from spinnet.identities import (
     BE_SYMBOL_NAMES,
     BEInstance,
     FIVE_SYMBOLS,
     X_FREE_TRIADS,
-    _sum,
     be_check,
     iter_be_grid,
     iter_be_grid_checks,
@@ -32,7 +31,7 @@ from spinnet.identities import (
     pachner_23_check,
 )
 from spinnet.symmetry import regge_transform
-from spinnet.wigner import ZERO_TRIPLE, SixJ, invalid_triads_twice
+from spinnet.wigner import SixJ, invalid_triads_twice
 
 
 def S(*twices):
