@@ -415,6 +415,79 @@ def factorial(n: int) -> int:
     return _factorials[n]
 
 
+# Prime-exponent vectors of factorials, each packed into one int: field
+# i, _EXPONENT_BITS wide, holds the exponent of the i-th prime.  Integer
+# addition is linear, so a sum of packed vectors is the packed vector of
+# the field-wise sums: a product or quotient of factorials costs a few
+# big-int additions, and its vector reads off exactly wherever every
+# field of the result lies in [0, 2**_EXPONENT_BITS).  Entries for n
+# below _FACTORIAL_MEMO_SIZE are stored, like the factorials; larger
+# ones are built on from the last stored entry, just not stored.
+_EXPONENT_BITS = 16
+_factorial_exponents = [0, 0]
+_factorial_exponents_lock = threading.Lock()
+# (least prime factor of each m <= limit, the primes <= limit in field
+# order, the packed vector of each such prime), grown by doubling while
+# it stays under the memo size
+_sieve = ([0, 1], [], {})
+
+
+def _sieve_upto(limit: int):
+    """The sieve table covering every m <= limit."""
+    global _sieve
+    table = _sieve
+    if limit < len(table[0]):
+        return table
+    size = limit
+    if limit < _FACTORIAL_MEMO_SIZE:
+        size = min(max(limit, 2 * len(table[0])), _FACTORIAL_MEMO_SIZE - 1)
+    lpf = list(range(size + 1))
+    # descending, so that the least divisor d >= 2 of m with d*d <= m,
+    # which is prime, is the last to write lpf[m]
+    for d in range(math.isqrt(size), 1, -1):
+        lpf[d * d::d] = [d] * len(range(d * d, size + 1, d))
+    primes = [m for m in range(2, size + 1) if lpf[m] == m]
+    unit = {p: 1 << (i * _EXPONENT_BITS) for i, p in enumerate(primes)}
+    table = lpf, primes, unit
+    if size < _FACTORIAL_MEMO_SIZE:
+        _sieve = table
+    return table
+
+
+def factorial_primes(n: int) -> list[int]:
+    """The primes in field order of factorial_exponents, up to n at least."""
+    return _sieve_upto(n)[1]
+
+
+def factorial_exponents(n: int) -> int:
+    """The prime-exponent vector of n!, packed into one int.
+
+    Field i, bits 16*i to 16*i + 15, holds the exponent of
+    factorial_primes(n)[i] in n! (for n below 2**16 every field does).
+    The memo grows one n at a time under a lock, adding the packed
+    factorization of each new n, so concurrent readers are safe.
+    """
+    if n < 0:
+        raise ValueError(f"factorial of negative {n}")
+    vectors = _factorial_exponents
+    if n < len(vectors):
+        return vectors[n]
+    with _factorial_exponents_lock:
+        if n < len(vectors):
+            return vectors[n]
+        lpf, _, unit = _sieve_upto(n)
+        v = vectors[-1]
+        for m in range(len(vectors), n + 1):
+            k = m
+            while k > 1:
+                p = lpf[k]
+                v += unit[p]
+                k //= p
+            if m < _FACTORIAL_MEMO_SIZE:
+                vectors.append(v)
+    return v
+
+
 def phase_from_twice(twice: int) -> int:
     """(-1)**(twice/2); raises PhaseParityError for half-integer exponents."""
     if twice % 2:

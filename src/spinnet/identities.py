@@ -347,13 +347,16 @@ def iter_be_grid_checks(max_twice: int, move: str,
     on them directly and no BEInstance is built.
     """
     if move == "pachner-14":
-        p_primes = [Spin(v) for v in range(max_twice + 1)]
-        for t in iter_be_grid(max_twice):
-            rows = _pachner_14_results(t, p_primes)
-            for p_prime, res in zip(p_primes, rows):
-                yield t + (p_prime.twice,), res
-        return
+        return _iter_pachner_14_grid_checks(max_twice)
     if move not in _PENTAGON_FORMS:
         raise SpinnetError(f"unknown verification grid {move!r}")
+    return ((t, _pentagon_result(t, move, literal_form))
+            for t in iter_be_grid(max_twice))
+
+
+def _iter_pachner_14_grid_checks(max_twice):
+    p_primes = [Spin(v) for v in range(max_twice + 1)]
     for t in iter_be_grid(max_twice):
-        yield t, _pentagon_result(t, move, literal_form)
+        rows = _pachner_14_results(t, p_primes)
+        for p_prime, res in zip(p_primes, rows):
+            yield t + (p_prime.twice,), res

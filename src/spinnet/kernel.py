@@ -11,31 +11,16 @@ a few multiplications by small integers rather than a rebuild of the
 falling factorials of every term.
 """
 
-from .exactnum import ZERO_TRIPLE, _reduce, factorial
+import sys
+from array import array
+
+from .exactnum import (ZERO_TRIPLE, _reduce, factorial, factorial_exponents,
+                       factorial_primes)
 
 
 def backend() -> str:
     """Name of the kernel implementation (always 'python')."""
     return "python"
-
-
-def _legendre(n, p):
-    # exponent of prime p in n!
-    e = 0
-    while n:
-        n //= p
-        e += n
-    return e
-
-
-def _primes_upto(n):
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            step = bytearray(len(range(p * p, n + 1, p)))
-            sieve[p * p:: p] = step
-    return [p for p in range(2, n + 1) if sieve[p]]
 
 
 def sixj_raw(ta, tb, tx, tc, td, ty):
@@ -78,29 +63,33 @@ def sixj_raw(ta, tb, tx, tc, td, ty):
 
 
 def _triangle_sqrt(triads):
-    """sqrt of prod over triads of (g1)!(g2)!(g3)!/(perim+1)!, exactly.
+    """sqrt of prod over triads of (g1)!(g2)!(g3)!/(n+1)!, exactly.
 
-    Each factor is 1/((perim+1) * perim!/(g1! g2! g3!)), one over an
-    integer, so no prime has a positive exponent.  Returns (den, rad):
-    the value sqrt(rad)/den, with rad a square-free integer.
+    Each factor is 1/((n+1) * n!/(g1! g2! g3!)), n the perimeter, one
+    over an integer D_t.  Returns (den, rad): the value sqrt(rad)/den,
+    with rad the square-free part of D = prod D_t.
     """
-    args_plus = []
-    args_minus = []
+    # the packed prime-exponent vector of D, from sixteen memo entries
+    vec = 0
+    top = 0
     for t1, t2, t3 in triads:
-        args_plus.append((t1 + t2 - t3) // 2)
-        args_plus.append((t1 - t2 + t3) // 2)
-        args_plus.append((-t1 + t2 + t3) // 2)
-        args_minus.append((t1 + t2 + t3) // 2 + 1)
-    den, rad = 1, 1
-    for p in _primes_upto(max(args_minus)):
-        e = 0
-        for n in args_plus:
-            e += _legendre(n, p)
-        for n in args_minus:
-            e -= _legendre(n, p)
-        half, odd = divmod(e, 2)
-        if odd:
-            rad *= p
-        if half:
-            den *= p ** (-half)
+        n = (t1 + t2 + t3) // 2
+        vec += (factorial_exponents(n + 1) - factorial_exponents(n - t1)
+                - factorial_exponents(n - t2) - factorial_exponents(n - t3))
+        if n >= top:
+            top = n + 1
+    # vec reads off exactly when each exponent in D is below 2**16.  By
+    # Kummer's theorem p's exponent in n!/(g1! g2! g3!) is the number of
+    # carries, at most two per base-p digit, in adding g1 + g2 + g3 = n;
+    # with p's exponent in n + 1 that is at most 3*log2(n+1) + 2 per
+    # triad, so at most 4*(3*log2(n+1) + 2) in D: under 800 even at
+    # n = 2**64, far below 2**16.
+    fields = array("H", vec.to_bytes(-(-vec.bit_length() // 16) * 2,
+                                     sys.byteorder))
+    den = rad = 1
+    for p, e in zip(factorial_primes(top), fields):
+        if e:
+            if e & 1:
+                rad *= p
+            den *= p ** ((e + 1) >> 1)
     return den, rad

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import kernel
-from .errors import InvalidTriads
+from .errors import InvalidSpin, InvalidTriads
 from .exactnum import ZERO_TRIPLE, Spin, SqrtRational
 
 __all__ = [
@@ -123,7 +123,21 @@ def sixj_value(s: SixJ) -> SqrtRational:
 
 
 def sixj_value_twice(t: tuple[int, int, int, int, int, int]) -> SqrtRational:
-    """Exact value from twice-values; validates triads."""
+    """Exact value from six twice-values in any sequence; validates them.
+
+    Raises InvalidSpin unless t holds exactly six non-negative ints (bools
+    excluded), and InvalidTriads for a symbol outside the triads.
+    """
+    try:
+        t = tuple(t)
+    except TypeError:
+        raise InvalidSpin(
+            f"a symbol needs six twice-values, got {t!r}") from None
+    if len(t) != 6 or not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 0
+            for v in t):
+        raise InvalidSpin(
+            f"a symbol needs six non-negative integer twice-values, got {t!r}")
     bad = invalid_triads_twice(t)
     if bad:
         raise InvalidTriads(

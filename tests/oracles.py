@@ -10,6 +10,9 @@ the *_sides_split functions keep the former identity sums, which did
 every product and sum on SqrtRational values and renormalised each
 result through the public constructor (square_free_split), as a
 reference for the integer-triple sums of spinnet.identities.
+legendre_triangle_sqrt keeps the kernel's former triangle coefficients,
+a fresh prime sieve and Legendre's formula per call, as a reference for
+the packed factorial exponent vectors of spinnet.exactnum.
 """
 
 from fractions import Fraction
@@ -20,7 +23,8 @@ from spinnet.wigner import sixj_or_zero_twice, triad_valid_twice
 
 __all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum",
            "split_mul", "split_add", "orthogonality_sides_split",
-           "pentagon_sides_split", "pachner_14_sides_split"]
+           "pentagon_sides_split", "pachner_14_sides_split",
+           "legendre_triangle_sqrt", "legendre_factorial_exponents"]
 
 
 def _triangle_sq(tj1, tj2, tj3) -> Fraction:
@@ -229,3 +233,57 @@ def pachner_14_sides_split(t9, tpp):
                   sixj_or_zero_twice((tpp, tq, tr, te, ta, td))),
         delta)
     return lhs, rhs
+
+
+def _legendre(n, p):
+    # exponent of prime p in n!
+    e = 0
+    while n:
+        n //= p
+        e += n
+    return e
+
+
+def _primes_upto(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, int(n ** 0.5) + 1):
+        if sieve[p]:
+            step = bytearray(len(range(p * p, n + 1, p)))
+            sieve[p * p:: p] = step
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+def legendre_triangle_sqrt(triads):
+    """(den, rad) of the kernel's product of four triangle coefficients.
+
+    sqrt of prod over triads of (g1)!(g2)!(g3)!/(perim+1)! is
+    sqrt(rad)/den, with rad square-free; every prime exponent comes from
+    Legendre's formula over a fresh sieve.
+    """
+    args_plus = []
+    args_minus = []
+    for t1, t2, t3 in triads:
+        args_plus.append((t1 + t2 - t3) // 2)
+        args_plus.append((t1 - t2 + t3) // 2)
+        args_plus.append((-t1 + t2 + t3) // 2)
+        args_minus.append((t1 + t2 + t3) // 2 + 1)
+    den, rad = 1, 1
+    for p in _primes_upto(max(args_minus)):
+        e = 0
+        for n in args_plus:
+            e += _legendre(n, p)
+        for n in args_minus:
+            e -= _legendre(n, p)
+        half, odd = divmod(e, 2)
+        if odd:
+            rad *= p
+        if half:
+            den *= p ** (-half)
+    return den, rad
+
+
+def legendre_factorial_exponents(n, bits=16):
+    """The prime-exponent vector of n!, packed field by field, by Legendre."""
+    return sum(_legendre(n, p) << (i * bits)
+               for i, p in enumerate(_primes_upto(max(n, 1))))

@@ -16,10 +16,14 @@ from spinnet.exactnum import (
     Spin,
     SqrtRational,
     factorial,
+    factorial_exponents,
+    factorial_primes,
     phase_from_twice,
     square_free_split,
 )
 from spinnet.wigner import SixJ, sixj_value_twice
+
+from oracles import legendre_factorial_exponents
 
 
 class TestSpin:
@@ -301,6 +305,35 @@ class TestFactorial:
     def test_negative(self):
         with pytest.raises(ValueError):
             factorial(-1)
+
+
+class TestFactorialExponents:
+    """Packed prime-exponent vectors of n!, field i the i-th prime's."""
+
+    def test_matches_legendre(self):
+        for n in (0, 1, 2, 3, 10, 97, 360, 1801):
+            assert factorial_exponents(n) == legendre_factorial_exponents(n)
+
+    def test_fields_decode_to_the_factorial(self):
+        for n in (0, 1, 6, 40):
+            v, out = factorial_exponents(n), 1
+            for p in factorial_primes(n):
+                out *= p ** (v & 0xFFFF)
+                v >>= 16
+            assert v == 0 and out == math.factorial(n)
+
+    def test_cap_does_not_change_values(self):
+        size = exactnum._FACTORIAL_MEMO_SIZE
+        for k in (0, 1, 7):
+            assert (factorial_exponents(size + k)
+                    == legendre_factorial_exponents(size + k))
+        assert len(exactnum._factorial_exponents) <= size
+        # the sieve behind the memo is bounded the same way
+        assert len(exactnum._sieve[0]) <= size
+
+    def test_negative(self):
+        with pytest.raises(ValueError):
+            factorial_exponents(-1)
 
 
 class TestPhase:

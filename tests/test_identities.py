@@ -495,6 +495,10 @@ class TestBEGridChecks:
         with pytest.raises(SpinnetError, match="unknown verification grid"):
             next(iter_be_grid_checks(1, "pachner-33"))
 
+    def test_unknown_move_raises_at_the_call(self):
+        with pytest.raises(SpinnetError, match="unknown verification grid"):
+            iter_be_grid_checks(2, "foo")
+
 
 class TestPentagonSymbolLookups:
     def test_be_sides_reads_the_five_symbols_slot_for_slot(

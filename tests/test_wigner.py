@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sixj_direct_sum, sixj_one_zero, sixj_via_threej
-from spinnet import kernel
-from spinnet.errors import InvalidTriads
+from oracles import (
+    legendre_triangle_sqrt,
+    sixj_direct_sum,
+    sixj_one_zero,
+    sixj_via_threej,
+)
+from spinnet import exactnum, kernel
+from spinnet.errors import InvalidSpin, InvalidTriads, SpinnetError
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.wigner import (
     SixJ,
@@ -120,6 +125,96 @@ class TestSixJValue:
             prod = (_triangle_sq(ta, tb, tx) * _triangle_sq(ta, td, ty)
                     * _triangle_sq(tc, tb, ty) * _triangle_sq(tc, td, tx))
             assert v.radicand == SqrtRational.sqrt(prod).radicand
+
+
+class TestSixJValueTwiceInput:
+    """sixj_value_twice takes any sequence of six non-negative ints."""
+
+    def test_any_sequence_of_six_ints(self):
+        expected = SqrtRational(Fraction(1, 6))
+        assert sixj_value_twice([2] * 6) == expected
+        assert sixj_value_twice(v for v in (2,) * 6) == expected
+
+    def test_float_entry_rejected_even_when_cached(self):
+        bad = (2, 2, 2, 2, 2, 2.0)
+        with pytest.raises(InvalidSpin):
+            sixj_value_twice(bad)
+        sixj_value_twice((2,) * 6)
+        with pytest.raises(InvalidSpin):
+            sixj_value_twice(bad)
+
+    @pytest.mark.parametrize("t", [
+        (2, 2, 2, 2, 2),                   # five entries
+        (2,) * 7,                          # seven entries
+        (True, True, 0, True, True, 0),    # bools are not twice-values
+        (1, 1, 0, 1, 1, -2),               # negative
+        "222222",
+        None,
+        6,
+    ])
+    def test_rejected_as_invalid_spin(self, t):
+        with pytest.raises(InvalidSpin):
+            sixj_value_twice(t)
+        assert issubclass(InvalidSpin, SpinnetError)
+
+
+def _triads(t):
+    ta, tb, tx, tc, td, ty = t
+    return (ta, tb, tx), (ta, td, ty), (tc, tb, ty), (tc, td, tx)
+
+
+def _near_regular(rng, twice, count):
+    # symbols with every entry within a few units of twice, x and y
+    # drawn from their admissible ranges
+    out = []
+    while len(out) < count:
+        ta, tb, tc, td = (max(0, twice + rng.randrange(-3, 4))
+                          for _ in range(4))
+        xs = [v for v in admissible_x_twice(ta, tb, tc, td)
+              if abs(v - twice) <= 6]
+        ys = [v for v in admissible_x_twice(tb, tc, ta, td)
+              if abs(v - twice) <= 6]
+        if xs and ys:
+            out.append((ta, tb, rng.choice(xs), tc, td, rng.choice(ys)))
+    return out
+
+
+class TestTriangleSqrt:
+    """The kernel's (den, rad) of the four triangle coefficients, read off
+    packed factorial exponent vectors, against Legendre's formula."""
+
+    @staticmethod
+    def assert_matches_legendre(symbols):
+        for t in symbols:
+            triads = _triads(t)
+            assert (kernel._triangle_sqrt(triads)
+                    == legendre_triangle_sqrt(triads)), t
+
+    def test_every_symbol_to_twice_8(self):
+        symbols = list(iter_valid_sixj(8))
+        assert len(symbols) == 13691
+        self.assert_matches_legendre(symbols)
+
+    def test_near_regular_to_twice_1200(self):
+        rng = random.Random(1504)
+        self.assert_matches_legendre(
+            _near_regular(rng, rng.randrange(1, 1201), 1)[0]
+            for _ in range(150))
+
+    def test_twice_4000(self):
+        self.assert_matches_legendre(
+            [(4000,) * 6, (4000, 3999, 3999, 4000, 3999, 3999)]
+            + _near_regular(random.Random(4000), 4000, 3))
+
+    def test_powers_of_two(self):
+        # every g is 2048 and n + 1 = 6145, which maximizes the exponent
+        # of 2 among the symbols of its size
+        self.assert_matches_legendre([(4096,) * 6])
+
+    def test_past_the_memo_cap(self):
+        t = (6700,) * 6
+        assert 3 * 6700 // 2 + 1 >= exactnum._FACTORIAL_MEMO_SIZE
+        self.assert_matches_legendre([t])
 
 
 class TestDimensionWeight:
