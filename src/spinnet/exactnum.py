@@ -26,6 +26,8 @@ __all__ = [
     "SqrtRational",
     "ZERO_TRIPLE",
     "factorial",
+    "factorial_exponents",
+    "factorial_primes",
     "phase_from_twice",
     "square_free_split",
 ]
