@@ -429,8 +429,8 @@ _EXPONENT_BITS = 16
 _factorial_exponents = [0, 0]
 _factorial_exponents_lock = threading.Lock()
 # (least prime factor of each m <= limit, the primes <= limit in field
-# order, the packed vector of each such prime), grown by doubling while
-# it stays under the memo size
+# order, the bit offset of each such prime's field), grown by doubling
+# while it stays under the memo size
 _sieve = ([0, 1], [], {})
 
 
@@ -449,8 +449,8 @@ def _sieve_upto(limit: int):
     for d in range(math.isqrt(size), 1, -1):
         lpf[d * d::d] = [d] * len(range(d * d, size + 1, d))
     primes = [m for m in range(2, size + 1) if lpf[m] == m]
-    unit = {p: 1 << (i * _EXPONENT_BITS) for i, p in enumerate(primes)}
-    table = lpf, primes, unit
+    offset = {p: i * _EXPONENT_BITS for i, p in enumerate(primes)}
+    table = lpf, primes, offset
     if size < _FACTORIAL_MEMO_SIZE:
         _sieve = table
     return table
@@ -465,9 +465,11 @@ def factorial_exponents(n: int) -> int:
     """The prime-exponent vector of n!, packed into one int.
 
     Field i, bits 16*i to 16*i + 15, holds the exponent of
-    factorial_primes(n)[i] in n! (for n below 2**16 every field does).
-    The memo grows one n at a time under a lock, adding the packed
-    factorization of each new n, so concurrent readers are safe.
+    factorial_primes(n)[i] in n!; every exponent fits while n is below
+    2**16, and a sum of vectors reads off exactly wherever its own
+    fields fit.  The memo grows one n at a time under a lock, adding
+    the packed factorization of each new n, so concurrent readers are
+    safe.
     """
     if n < 0:
         raise ValueError(f"factorial of negative {n}")
@@ -477,13 +479,13 @@ def factorial_exponents(n: int) -> int:
     with _factorial_exponents_lock:
         if n < len(vectors):
             return vectors[n]
-        lpf, _, unit = _sieve_upto(n)
+        lpf, _, offset = _sieve_upto(n)
         v = vectors[-1]
         for m in range(len(vectors), n + 1):
             k = m
             while k > 1:
                 p = lpf[k]
-                v += unit[p]
+                v += 1 << offset[p]
                 k //= p
             if m < _FACTORIAL_MEMO_SIZE:
                 vectors.append(v)

@@ -9,6 +9,12 @@ square-free positive integer.
 The z-sum is nested by term ratios (Horner's rule), so each step costs
 a few multiplications by small integers rather than a rebuild of the
 falling factorials of every term.
+
+The four triangle coefficients contribute only a denominator and a
+radicand.  Their product is one over an integer D, read off the packed
+prime-exponent vectors of factorials that exactnum memoizes: sixteen
+big-int additions give D's vector, decoded once, with no sieve and no
+per-prime loop over the factorials.
 """
 
 import sys

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import sys
+import threading
 from dataclasses import astuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -334,6 +335,34 @@ class TestFactorialExponents:
     def test_negative(self):
         with pytest.raises(ValueError):
             factorial_exponents(-1)
+
+    def test_concurrent_growth(self, monkeypatch):
+        # four threads grow an empty memo at once, one n at a time; a
+        # lost or doubled append would shift every later entry
+        top = 3000
+        expected = [legendre_factorial_exponents(n) for n in range(top + 1)]
+        monkeypatch.setattr(exactnum, "_factorial_exponents", [0, 0])
+        monkeypatch.setattr(exactnum, "_sieve", ([0, 1], [], {}))
+        start = threading.Barrier(4)
+        results = []
+
+        def grow():
+            start.wait()
+            results.append([factorial_exponents(n) for n in range(top + 1)])
+
+        threads = [threading.Thread(target=grow) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert exactnum._factorial_exponents == expected
+        assert results == [expected] * 4
 
 
 class TestPhase:
