@@ -13,8 +13,8 @@ falling factorials of every term.
 The four triangle coefficients contribute only a denominator and a
 radicand.  Their product is one over an integer D, read off the packed
 prime-exponent vectors of factorials that exactnum memoizes: sixteen
-big-int additions give D's vector, decoded once, with no sieve and no
-per-prime loop over the factorials.
+big-int additions give D's vector, decoded once, with no prime sieve
+per call and no per-prime loop over the factorials.
 """
 
 import sys
