@@ -66,6 +66,11 @@ ORTH_NAMES = ("a", "b", "c", "d", "y", "y'")
 
 GRID_KINDS = ("orthogonality", "be", "pachner-23", "pachner-14")
 
+# the pentagon grid bounds its free spins a, b, d, e; a coupled spin
+# runs to the parity-matched top of its triad and can reach one more
+_PENTAGON_MAX_TWICE_HELP = ("largest twice-value of the grid's free spins; "
+                            "coupled spins reach MAX_TWICE + 1")
+
 # the built-in structures, in the order export lists them
 _STRUCTURES = {
     "desargues": build_desargues,
@@ -450,10 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--twice", action="store_true",
                        help="spin arguments are twice-value integers")
 
-    def grid_opts(p):
+    def grid_opts(p, max_twice_help=None):
         p.add_argument("--all", action="store_true",
                        help="run the exhaustive grid")
-        p.add_argument("--max-twice", type=int, default=2)
+        p.add_argument("--max-twice", type=int, default=2,
+                       help=max_twice_help)
         p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
         p.add_argument("--sorted", action="store_true",
                        help="canonical record order")
@@ -482,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--literal-paper-form", action="store_true",
                    help="drop the (2x+1) weight from the x-sum")
     spin_opts(p)
-    grid_opts(p)
+    grid_opts(p, _PENTAGON_MAX_TWICE_HELP)
 
     p = add("verify-pachner", _cmd_verify_pachner,
             help="check a Pachner move identity")
@@ -492,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spins", nargs="*")
     p.add_argument("--format", choices=("text", "json"), default="text")
     spin_opts(p)
-    grid_opts(p)
+    grid_opts(p, _PENTAGON_MAX_TWICE_HELP)
 
     p = add("build-desargues", _cmd_build_desargues,
             help="emit the ten-point configuration")

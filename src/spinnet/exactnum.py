@@ -77,9 +77,6 @@ class Spin:
         """Dimension 2j + 1 of the irrep."""
         return self.twice + 1
 
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __eq__(self, other):
         return isinstance(other, Spin) and self.twice == other.twice
 
@@ -275,14 +272,6 @@ class SqrtRational:
     def is_zero(self) -> bool:
         return self.coeff == 0
 
-    def is_rational(self) -> bool:
-        return self.radicand == 1
-
-    def as_rational(self) -> Fraction:
-        if self.radicand != 1:
-            raise ValueError(f"{self} is irrational")
-        return self.coeff
-
     def __bool__(self):
         return self.coeff != 0
 
@@ -423,14 +412,21 @@ def factorial(n: int) -> int:
 # the field-wise sums: a product or quotient of factorials costs a few
 # big-int additions, and its vector reads off exactly wherever every
 # field of the result lies in [0, 2**_EXPONENT_BITS).  Entries for n
-# below _FACTORIAL_MEMO_SIZE are stored, like the factorials; larger
-# ones are built on from the last stored entry, just not stored.
+# below _FACTORIAL_MEMO_SIZE are stored, like the factorials.  A larger
+# one is built on from the nearest entry at or below it, among the
+# last stored one and the last _ABOVE_MEMO_KEEP built above the memo,
+# which are kept in place of the oldest, so a run of large arguments
+# adds only what is new.
 _EXPONENT_BITS = 16
 _factorial_exponents = [0, 0]
 _factorial_exponents_lock = threading.Lock()
+# n -> vector of n! for the vectors last built above the memo, oldest
+# first
+_ABOVE_MEMO_KEEP = 8
+_above_memo = {}
 # (least prime factor of each m <= limit, the primes <= limit in field
-# order, the bit offset of each such prime's field), grown by doubling
-# while it stays under the memo size
+# order, the bit offset of each such prime's field), grown by doubling;
+# it is kept at any size, one int per m and one offset per prime
 _sieve = ([0, 1], [], {})
 
 
@@ -440,9 +436,9 @@ def _sieve_upto(limit: int):
     table = _sieve
     if limit < len(table[0]):
         return table
-    size = limit
+    size = max(limit, 2 * len(table[0]))
     if limit < _FACTORIAL_MEMO_SIZE:
-        size = min(max(limit, 2 * len(table[0])), _FACTORIAL_MEMO_SIZE - 1)
+        size = min(size, _FACTORIAL_MEMO_SIZE - 1)
     lpf = list(range(size + 1))
     # descending, so that the least divisor d >= 2 of m with d*d <= m,
     # which is prime, is the last to write lpf[m]
@@ -450,9 +446,7 @@ def _sieve_upto(limit: int):
         lpf[d * d::d] = [d] * len(range(d * d, size + 1, d))
     primes = [m for m in range(2, size + 1) if lpf[m] == m]
     offset = {p: i * _EXPONENT_BITS for i, p in enumerate(primes)}
-    table = lpf, primes, offset
-    if size < _FACTORIAL_MEMO_SIZE:
-        _sieve = table
+    _sieve = table = lpf, primes, offset
     return table
 
 
@@ -480,8 +474,15 @@ def factorial_exponents(n: int) -> int:
         if n < len(vectors):
             return vectors[n]
         lpf, _, offset = _sieve_upto(n)
-        v = vectors[-1]
-        for m in range(len(vectors), n + 1):
+        m, v = len(vectors) - 1, vectors[-1]
+        if len(vectors) == _FACTORIAL_MEMO_SIZE:
+            # a plain loop: a comprehension here would make n a cell
+            # variable, which every call, the memo hits too, would pay for
+            for k in _above_memo:
+                if m < k <= n:
+                    m = k
+            v = _above_memo.get(m, v)
+        for m in range(m + 1, n + 1):
             k = m
             while k > 1:
                 p = lpf[k]
@@ -489,6 +490,11 @@ def factorial_exponents(n: int) -> int:
                 k //= p
             if m < _FACTORIAL_MEMO_SIZE:
                 vectors.append(v)
+        if n >= _FACTORIAL_MEMO_SIZE:
+            _above_memo.pop(n, None)
+            _above_memo[n] = v
+            if len(_above_memo) > _ABOVE_MEMO_KEEP:
+                del _above_memo[next(iter(_above_memo))]
     return v
 
 

@@ -120,9 +120,6 @@ class SixJSymmetryElement:
     def apply_twice(self, t: tuple[int, ...]) -> tuple[int, ...]:
         return _apply2(self.matrix2, t)
 
-    def apply(self, s: SixJ) -> SixJ:
-        return SixJ.from_twice(_apply2(self.matrix2, s.twice_tuple()))
-
     def is_classical(self) -> bool:
         return self.regge_component == 0
 

@@ -5,8 +5,6 @@ A 6j symbol {a b x; c d y} couples the four triads (abx), (bcy), (cdx),
 arbitrary-precision integers (see spinnet.kernel); an out-of-triad
 symbol raises InvalidTriads rather than returning 0, so enumeration bugs
 in identity verifiers cannot hide behind silent zeros.
-sixj_or_zero_twice, which returns exact zero there instead, is kept as
-the reference for the former sum-style evaluation.
 
 The value cache holds the kernel's own (num, den, rad) triple.  The
 identity sums read it straight from _sixj_cached, because every symbol
@@ -22,7 +20,7 @@ from functools import lru_cache
 
 from . import kernel
 from .errors import InvalidSpin, InvalidTriads
-from .exactnum import ZERO_TRIPLE, Spin, SqrtRational
+from .exactnum import Spin, SqrtRational
 
 __all__ = [
     "SixJ",
@@ -143,11 +141,4 @@ def sixj_value_twice(t: tuple[int, int, int, int, int, int]) -> SqrtRational:
         raise InvalidTriads(
             "invalid triads " + ", ".join(str(x) for x in bad), triads=bad)
     return SqrtRational._from_triple(*_sixj_cached(t))
-
-
-def sixj_or_zero_twice(t) -> SqrtRational:
-    """Value if all four triads hold, else exact zero."""
-    if invalid_triads_twice(t):
-        return SqrtRational._from_triple(*ZERO_TRIPLE)
-    return SqrtRational._from_triple(*_sixj_cached(tuple(t)))
 

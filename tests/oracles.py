@@ -13,15 +13,26 @@ reference for the integer-triple sums of spinnet.identities.
 legendre_triangle_sqrt keeps the kernel's former triangle coefficients,
 a fresh prime sieve and Legendre's formula per call, as a reference for
 the packed factorial exponent vectors of spinnet.exactnum.
+horner_sixj_raw is the kernel's former evaluation for every size, the
+Horner z-sum and the multiplied-out factorial prefactor, with the
+triangle coefficients by Legendre's formula: the exact reference for the kernel's large path
+(binary splitting and a packed prefactor), whose triples must equal it.
+sixj_or_zero_twice, the former library helper returning exact zero off
+the triads, serves the *_sides_split sums.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from spinnet.exactnum import SqrtRational, factorial, phase_from_twice
 from spinnet.errors import IncompatibleRadicands, PhaseParityError
-from spinnet.wigner import sixj_or_zero_twice, triad_valid_twice
+from spinnet.wigner import (invalid_triads_twice, sixj_value_twice,
+                            triad_valid_twice)
 
 __all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum",
+           "horner_sixj_raw", "sixj_or_zero_twice",
            "split_mul", "split_add", "orthogonality_sides_split",
            "pentagon_sides_split", "pachner_14_sides_split",
            "legendre_triangle_sqrt", "legendre_factorial_exponents"]
@@ -158,6 +169,66 @@ def sixj_direct_sum(ta, tb, tx, tc, td, ty) -> tuple[Fraction, Fraction]:
     tri = (_triangle_sq(ta, tb, tx) * _triangle_sq(ta, td, ty)
            * _triangle_sq(tc, tb, ty) * _triangle_sq(tc, td, tx))
     return Fraction(num, den), tri
+
+
+def horner_sixj_raw(ta, tb, tx, tc, td, ty):
+    """The canonical (num, den, rad) triple of a valid symbol, by Horner.
+
+    The z-sum is nested from the last term down, and its factorial
+    prefactor is multiplied out and reduced by one gcd.
+    """
+    a1 = (ta + tb + tx) // 2
+    a2 = (ta + td + ty) // 2
+    a3 = (tc + tb + ty) // 2
+    a4 = (tc + td + tx) // 2
+    b1 = (ta + tb + tc + td) // 2
+    b2 = (tb + tx + td + ty) // 2
+    b3 = (tx + ta + ty + tc) // 2
+    zmin = max(a1, a2, a3, a4)
+    zmax = min(b1, b2, b3)
+    n = d = 1
+    for z in range(zmax - 1, zmin - 1, -1):
+        q = (z + 1 - a1) * (z + 1 - a2) * (z + 1 - a3) * (z + 1 - a4)
+        n = q * d - (z + 2) * (b1 - z) * (b2 - z) * (b3 - z) * n
+        d *= q
+    if n == 0:
+        return 0, 1, 1
+    num = factorial(zmin + 1) * (-n if zmin % 2 else n)
+    den = (factorial(zmax - a1) * factorial(zmax - a2)
+           * factorial(zmax - a3) * factorial(zmax - a4)
+           * factorial(b1 - zmin) * factorial(b2 - zmin)
+           * factorial(b3 - zmin))
+    # sqrt(1/D), D the product of (n+1)!/(g1! g2! g3!) over the triads
+    exponents = Counter()
+    for triad in ((ta, tb, tx), (ta, td, ty), (tc, tb, ty), (tc, td, tx)):
+        exponents.update(_triad_legendre(*triad))
+    rad = 1
+    for p, e in exponents.items():
+        if e % 2:
+            rad *= p
+        den *= p ** ((e + 1) // 2)
+    g = gcd(num, den)
+    return num // g, den // g, rad
+
+
+@lru_cache(maxsize=4096)
+def _triad_legendre(t1, t2, t3):
+    # {p: exponent of p in (n+1)!/(g1! g2! g3!)}, n the perimeter
+    n = (t1 + t2 + t3) // 2
+    out = {}
+    for p in _primes_upto(n + 1):
+        e = (_legendre(n + 1, p) - _legendre(n - t1, p)
+             - _legendre(n - t2, p) - _legendre(n - t3, p))
+        if e:
+            out[p] = e
+    return out
+
+
+def sixj_or_zero_twice(t) -> SqrtRational:
+    """Value if all four triads hold, else exact zero."""
+    if invalid_triads_twice(t):
+        return SqrtRational.zero()
+    return sixj_value_twice(t)
 
 
 def split_mul(u: SqrtRational, v: SqrtRational) -> SqrtRational:

@@ -588,9 +588,9 @@ GOLDEN = [
     (("verify-orth", "--help"), 0,
      "6f88ac3a8ebf7207c03302e1879a2ca095a84539acefc85e830685bdb2d93867"),
     (("verify-be", "--help"), 0,
-     "eea9569bbb09469f08363ecd258a99886824130480311bffdeb4a84beec61e45"),
+     "dce869b92fdc7455cef15f4ae4bee3afa34762a29103ecc593c2e8e684df2e09"),
     (("verify-pachner", "--help"), 0,
-     "98e5b619a2eae8eaf9e5dd6c0dc3ecb4aa8010bccb9461746e9d463f55e3f97d"),
+     "920cc3926c502cbebe2a92b9fe871d3caa53c730edf331eb175850805208d97d"),
     (("build-desargues", "--help"), 0,
      "bf68de523637c6c173b90034f95031c821c800d0f1af04baae52b2ec7e1b9b9f"),
     (("space-dual", "--help"), 0,

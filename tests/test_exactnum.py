@@ -329,8 +329,38 @@ class TestFactorialExponents:
             assert (factorial_exponents(size + k)
                     == legendre_factorial_exponents(size + k))
         assert len(exactnum._factorial_exponents) <= size
-        # the sieve behind the memo is bounded the same way
-        assert len(exactnum._sieve[0]) <= size
+        # the sieve behind the memo is kept past it, so a larger
+        # argument does not sieve again
+        assert len(exactnum._sieve[0]) > size + 7
+
+    def test_vectors_above_the_memo_are_built_on(self, monkeypatch):
+        # an argument above the memo is built on from the nearest kept
+        # vector at or below it; the sieve lookups of arguments >= size
+        # count the factorizations
+        size = exactnum._FACTORIAL_MEMO_SIZE
+        factorial_exponents(size - 1)
+        lpf, primes, offset = exactnum._sieve_upto(size + 400)
+        looked_up = []
+
+        class Counting(list):
+            def __getitem__(self, k):
+                if k >= size:
+                    looked_up.append(k)
+                return list.__getitem__(self, k)
+
+        table = Counting(lpf), primes, offset
+        monkeypatch.setattr(exactnum, "_sieve_upto", lambda n: table)
+        monkeypatch.setattr(exactnum, "_above_memo", {})
+        for n, built in ((size + 100, 101), (size + 50, 51),
+                         (size + 120, 20), (size + 100, 0)):
+            looked_up.clear()
+            assert factorial_exponents(n) == legendre_factorial_exponents(n)
+            assert len(looked_up) == built, n
+        keep = exactnum._ABOVE_MEMO_KEEP
+        for i in range(keep):
+            factorial_exponents(size + 200 + i)
+        assert list(exactnum._above_memo) == [
+            size + 200 + i for i in range(keep)]
 
     def test_negative(self):
         with pytest.raises(ValueError):
@@ -363,6 +393,37 @@ class TestFactorialExponents:
         assert not any(t.is_alive() for t in threads)
         assert exactnum._factorial_exponents == expected
         assert results == [expected] * 4
+
+    def test_concurrent_above_the_memo(self, monkeypatch):
+        # four threads ask for arguments above the memo in different
+        # orders; each is built on from a kept vector, and a vector kept
+        # under the wrong n would shift every value built on it
+        size = exactnum._FACTORIAL_MEMO_SIZE
+        factorial_exponents(size - 1)
+        monkeypatch.setattr(exactnum, "_above_memo", {})
+        ns = [size + k for k in range(0, 400, 13)]
+        expected = {n: legendre_factorial_exponents(n) for n in ns}
+        start = threading.Barrier(4)
+        results = []
+
+        def ask(order):
+            start.wait()
+            results.append({n: factorial_exponents(n) for n in order})
+
+        orders = [ns, ns[::-1], ns[::2] + ns[1::2], ns[1::2] + ns[::2]]
+        threads = [threading.Thread(target=ask, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 4
+        assert len(exactnum._above_memo) == exactnum._ABOVE_MEMO_KEEP
 
 
 class TestPhase:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    horner_sixj_raw,
     legendre_triangle_sqrt,
     sixj_direct_sum,
     sixj_one_zero,
+    sixj_or_zero_twice,
     sixj_via_threej,
 )
 from spinnet import exactnum, kernel
@@ -21,7 +24,6 @@ from spinnet.wigner import (
     TRIAD_SLOTS,
     admissible_x_twice,
     invalid_triads_twice,
-    sixj_or_zero_twice,
     sixj_value,
     sixj_value_twice,
     triad_valid_twice,
@@ -214,6 +216,153 @@ class TestTriangleSqrt:
         t = (6700,) * 6
         assert 3 * 6700 // 2 + 1 >= exactnum._FACTORIAL_MEMO_SIZE
         self.assert_matches_legendre([t])
+
+
+def _steps(t):
+    # zmax - zmin, the number of ratio steps of the z-sum
+    ta, tb, tx, tc, td, ty = t
+    return (min(ta + tb + tc + td, tb + tx + td + ty, tx + ta + ty + tc) // 2
+            - max(ta + tb + tx, ta + td + ty, tc + tb + ty, tc + td + tx) // 2)
+
+
+def _valid_symbols(max_twice):
+    # every valid symbol with all twice-values <= max_twice, without
+    # filtering the full product: y runs over the range (b c y), (a d y)
+    # admit
+    r = range(max_twice + 1)
+    for ta, tb, tx in product(r, r, r):
+        if triad_valid_twice(ta, tb, tx):
+            for tc, td in product(r, r):
+                if triad_valid_twice(tc, td, tx):
+                    for ty in admissible_x_twice(tb, tc, ta, td):
+                        if ty > max_twice:
+                            break
+                        yield ta, tb, tx, tc, td, ty
+
+
+def _regular_with_steps(s):
+    # two symbols with exactly s ratio steps: {s s s; s s s} in spins,
+    # and one with half-integer a, b, c, d
+    return [(2 * s,) * 6, (2 * s + 1, 2 * s + 1, 2 * s, 2 * s + 1, 2 * s + 1,
+                           2 * s)]
+
+
+def _tree_product(factors):
+    # the product, halving the list each round; a running product of
+    # thousands of prime powers would take quadratic time
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2])
+                   for i in range(0, len(factors), 2)]
+    return math.prod(factors)
+
+
+def _skewed(rng, twice):
+    # a, b, c, d drawn from [twice/4, twice], x and y from their ranges
+    while True:
+        ta, tb, tc, td = (rng.randint(twice // 4, twice) for _ in range(4))
+        xs = admissible_x_twice(ta, tb, tc, td)
+        ys = admissible_x_twice(tb, tc, ta, td)
+        if xs and ys:
+            return ta, tb, rng.choice(xs), tc, td, rng.choice(ys)
+
+
+class TestLargePath:
+    """The kernel's large path, binary splitting of the z-sum and the
+    prefactor read off packed exponent vectors, against the Horner z-sum
+    with the multiplied-out factorial prefactor: equal triples."""
+
+    def test_every_symbol_to_twice_10(self):
+        count = zeros = 0
+        for t in _valid_symbols(10):
+            expected = horner_sixj_raw(*t)
+            assert kernel.sixj_raw(*t) == expected, t
+            # the large routine directly, on symbols far below its size,
+            # n == 0 among them
+            assert kernel._sixj_large(*t) == expected, t
+            count += 1
+            zeros += expected[0] == 0
+        assert (count, zeros) == (42393, 202)
+
+    @pytest.mark.parametrize("steps", sorted({
+        0, 1, kernel._BLOCK - 1, kernel._BLOCK, kernel._BLOCK + 1,
+        2 * kernel._BLOCK, 2 * kernel._BLOCK + 1, 2 * kernel._BLOCK + 2,
+        4 * kernel._BLOCK + 3}))
+    def test_block_boundaries(self, steps):
+        # the split halves the range at its root, so runs shorter than,
+        # equal to and longer than a block reach the plain loop
+        for t in _regular_with_steps(steps):
+            assert _steps(t) == steps
+            assert kernel._sixj_large(*t) == horner_sixj_raw(*t), t
+
+    def test_path_switches_at_the_size_constant(self, monkeypatch):
+        large = kernel._sixj_large
+        ran = []
+        monkeypatch.setattr(kernel, "_sixj_large",
+                            lambda *t: ran.append(t) or large(*t))
+        below = _regular_with_steps(kernel._SPLIT_STEPS - 1)
+        above = _regular_with_steps(kernel._SPLIT_STEPS)
+        for t in below + above:
+            assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
+        assert ran == above
+        # from _PACKED_STEPS up the Horner path runs again; its real
+        # value puts the symbols past twice 32000, so it is lowered here
+        monkeypatch.setattr(kernel, "_PACKED_STEPS", kernel._SPLIT_STEPS + 1)
+        ran.clear()
+        beyond = _regular_with_steps(kernel._SPLIT_STEPS + 1)
+        for t in above + beyond:
+            assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
+        assert ran == above
+
+    def test_seeded_symbols_200_to_4000(self):
+        rng = random.Random(2011)
+        symbols = []
+        for _ in range(12):
+            twice = round(200 * 20 ** rng.random())
+            symbols += _near_regular(rng, twice, 1)
+            symbols.append(_skewed(rng, twice))
+        large = sum(_steps(t) >= kernel._SPLIT_STEPS for t in symbols)
+        assert 0 < large < len(symbols)
+        for t in symbols:
+            assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
+
+    @pytest.mark.parametrize("twice", [4096, 6700, 8000])
+    def test_large_regular(self, twice):
+        # 4096: every factorial argument a power of two; 6700 and 8000:
+        # perimeters past the exponent memo's cap
+        t = (twice,) * 6
+        assert kernel.sixj_raw(*t) == horner_sixj_raw(*t)
+
+    def test_worst_case_prefactor_fields(self, monkeypatch):
+        # The prefactor's exponent of 2 is the most negative field: about
+        # -4 * steps.  At the largest step count the packed path admits it
+        # comes within 2**11 of -_BIAS and still decodes exactly; the
+        # z-sum is replaced by n = 1, so only the prefactor is checked.
+        from oracles import _legendre, _primes_upto
+        steps = kernel._PACKED_STEPS - 1
+        assert 4 * steps + 36 <= kernel._BIAS
+        assert 1 + 7 * 36 < 2**16 - kernel._BIAS
+        t = (2 * steps,) * 6
+        zmin, zmax = 3 * steps, 4 * steps
+        args = [steps] * 7     # zmax - a_i and b_j - zmin
+        triads = _triads(t)
+        monkeypatch.setattr(kernel, "_zsum", lambda *_: 1)
+        ups, downs, rad = [], [], 1
+        for p in _primes_upto(zmin + 1):
+            f = _legendre(zmin + 1, p) - sum(_legendre(m, p) for m in args)
+            if p == 2:
+                assert -kernel._BIAS <= f < -kernel._BIAS + 2**11
+            e = 0
+            for t1, t2, t3 in triads:
+                n = (t1 + t2 + t3) // 2
+                e += _legendre(n + 1, p) - sum(
+                    _legendre(n - g, p) for g in (t1, t2, t3))
+            k = f - (e + 1) // 2
+            if e % 2:
+                rad *= p
+            (ups if k > 0 else downs).append(p ** abs(k))
+        assert zmin % 2 == 1
+        assert kernel._sixj_large(*t) == (-_tree_product(ups),
+                                          _tree_product(downs), rad)
 
 
 class TestDimensionWeight:
