@@ -45,10 +45,10 @@ _BLOCK = 16
 # summing to 4*zmax - 3*zmin), Legendre's formula gives p's exponent in
 # (zmin+1)!/prod m_k! as (1 - 4*S - s(zmin+1) + sum s(m_k))/(p - 1),
 # s the base-p digit sum, at most p - 1 per digit.  So the exponent
-# lies above -4*S - 36 and below 1 + 7*36 = 253 whenever zmin < 2**36
+# lies above -4*S - 36 and at most 1 + 7*36 = 253 whenever zmin < 2**36
 # (beyond that (zmin+1)! alone has over 2**41 bits, so no path can
 # evaluate the symbol): every biased field lies in [0, 2**16) for
-# S < _PACKED_STEPS.  Larger symbols keep the small path's prefactor.
+# S < _PACKED_STEPS.  Larger symbols keep the Horner path.
 _BIAS = 0xFF00
 _PACKED_STEPS = 16_000
 

@@ -15,8 +15,9 @@ a fresh prime sieve and Legendre's formula per call, as a reference for
 the packed factorial exponent vectors of spinnet.exactnum.
 horner_sixj_raw is the kernel's former evaluation for every size, the
 Horner z-sum and the multiplied-out factorial prefactor, with the
-triangle coefficients by Legendre's formula: the exact reference for the kernel's large path
-(binary splitting and a packed prefactor), whose triples must equal it.
+triangle coefficients by Legendre's formula: the exact reference for
+the kernel's large path (binary splitting and a packed prefactor),
+whose triples must equal it.
 sixj_or_zero_twice, the former library helper returning exact zero off
 the triads, serves the *_sides_split sums.
 """

@@ -21,7 +21,6 @@ from spinnet.errors import InvalidSpin, InvalidTriads
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.wigner import (
     SixJ,
-    TRIAD_SLOTS,
     admissible_x_twice,
     invalid_triads_twice,
     sixj_value,
@@ -31,10 +30,18 @@ from spinnet.wigner import (
 
 
 def iter_valid_sixj(max_twice):
-    for t in product(range(max_twice + 1), repeat=6):
-        if all(triad_valid_twice(t[i], t[j], t[k])
-               for i, j, k in TRIAD_SLOTS):
-            yield t
+    # every valid symbol with all twice-values <= max_twice, in the
+    # lexicographic order of the six-tuple: y runs over the range that
+    # (b c y) and (a d y) admit, so the full product is never filtered
+    r = range(max_twice + 1)
+    for ta, tb, tx in product(r, r, r):
+        if triad_valid_twice(ta, tb, tx):
+            for tc, td in product(r, r):
+                if triad_valid_twice(tc, td, tx):
+                    for ty in admissible_x_twice(tb, tc, ta, td):
+                        if ty > max_twice:
+                            break
+                        yield ta, tb, tx, tc, td, ty
 
 
 class TestTriads:
@@ -225,21 +232,6 @@ def _steps(t):
             - max(ta + tb + tx, ta + td + ty, tc + tb + ty, tc + td + tx) // 2)
 
 
-def _valid_symbols(max_twice):
-    # every valid symbol with all twice-values <= max_twice, without
-    # filtering the full product: y runs over the range (b c y), (a d y)
-    # admit
-    r = range(max_twice + 1)
-    for ta, tb, tx in product(r, r, r):
-        if triad_valid_twice(ta, tb, tx):
-            for tc, td in product(r, r):
-                if triad_valid_twice(tc, td, tx):
-                    for ty in admissible_x_twice(tb, tc, ta, td):
-                        if ty > max_twice:
-                            break
-                        yield ta, tb, tx, tc, td, ty
-
-
 def _regular_with_steps(s):
     # two symbols with exactly s ratio steps: {s s s; s s s} in spins,
     # and one with half-integer a, b, c, d
@@ -273,7 +265,7 @@ class TestLargePath:
 
     def test_every_symbol_to_twice_10(self):
         count = zeros = 0
-        for t in _valid_symbols(10):
+        for t in iter_valid_sixj(10):
             expected = horner_sixj_raw(*t)
             assert kernel.sixj_raw(*t) == expected, t
             # the large routine directly, on symbols far below its size,
