@@ -27,12 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    IncompatibleRadicands,
-    InvalidInstance,
-    PhaseParityError,
-    SpinnetError,
-)
+from .errors import InvalidInstance, PhaseParityError, SpinnetError
 from .exactnum import (
     ZERO_TRIPLE,
     Spin,
@@ -153,14 +148,6 @@ class ExactCheckResult:
     equal: bool
     form: str
     detail: str = ""
-
-    @property
-    def diff(self) -> SqrtRational | None:
-        """lhs - rhs when representable in one radicand, else None."""
-        try:
-            return self.lhs - self.rhs
-        except IncompatibleRadicands:
-            return None
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,7 +11,9 @@ two products of four small integers, so no term rebuilds a factorial.
 Small symbols nest it by Horner's rule.  A symbol with at least
 _SPLIT_STEPS ratio steps takes the large path instead: binary splitting
 of the same sum (Haible & Papanikolaou, 1998), whose products of big
-integers are balanced.
+integers are balanced.  So does a symbol with fewer steps whose
+prefactor reaches (zmin+1)! at or above exactnum's factorial memo,
+since the large path never multiplies a factorial out.
 
 The four triangle coefficients contribute only a denominator and a
 radicand.  Their product is one over an integer D, read off the packed
@@ -30,8 +32,8 @@ from array import array
 from bisect import bisect_right
 from math import gcd
 
-from .exactnum import (ZERO_TRIPLE, _reduce, factorial, factorial_exponents,
-                       factorial_primes)
+from .exactnum import (_FACTORIAL_MEMO_SIZE, ZERO_TRIPLE, _reduce, factorial,
+                       factorial_exponents, factorial_primes)
 
 # symbols with at least this many ratio steps zmax - zmin take the large
 # path; below it the Horner loop and the factorial memo are faster
@@ -71,7 +73,11 @@ def sixj_raw(ta, tb, tx, tc, td, ty):
 
     zmin = max(a1, a2, a3, a4)
     zmax = min(b1, b2, b3)
-    if _SPLIT_STEPS <= zmax - zmin < _PACKED_STEPS:
+    # the Horner loop's factorials are all memo entries when
+    # zmin + 1 < _FACTORIAL_MEMO_SIZE; above that each would be computed
+    # afresh, so thin symbols there take the large path too
+    if zmax - zmin < _PACKED_STEPS and (
+            zmax - zmin >= _SPLIT_STEPS or zmin + 1 >= _FACTORIAL_MEMO_SIZE):
         return _sixj_large(ta, tb, tx, tc, td, ty)
 
     # sum_z (-1)^z (z+1)! / (prod_i (z-a_i)! prod_j (b_j-z)!) nested from
@@ -103,7 +109,8 @@ def _sixj_large(ta, tb, tx, tc, td, ty):
     """sixj_raw's triple by binary splitting and a packed prefactor.
 
     Exact for any valid symbol with zmax - zmin < _PACKED_STEPS;
-    sixj_raw calls it from _SPLIT_STEPS steps up.
+    sixj_raw calls it from _SPLIT_STEPS steps up, and for fewer steps
+    once zmin + 1 reaches the factorial memo's size.
     """
     a = ((ta + tb + tx) // 2, (ta + td + ty) // 2,
          (tc + tb + ty) // 2, (tc + td + tx) // 2)

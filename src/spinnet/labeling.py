@@ -14,11 +14,19 @@ tetrahedron k (the six edges avoiding vertex k) carries the k-th
 symbol by construction.  Every labeling shares the one configuration
 built at import, and checks the ten point-triads read off it: they are
 the ten triads of the pentagon identity.
+
+The point triads are checked from a slot table built at import: each
+point's tag, its three symbols and their indices into SYMBOLS.  A
+labeling's ten spins are read once, in SYMBOLS order, and all ten
+triads are tested in one pass on their twice-values, with the parity
+and triangle arithmetic written inline rather than called per triad.
+transfer_labeling tests the ten face triads the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import LabelTransferMismatch, MissingSymbol, TriadViolation
@@ -31,7 +39,7 @@ from .projective import (
     space_dual_desargues,
 )
 from .symmetry import CanonicalQuadruple, running_range
-from .wigner import SixJ, _sixj_cached, triad_valid_twice
+from .wigner import SixJ, _sixj_cached
 
 __all__ = [
     "SYMBOLS",
@@ -64,19 +72,18 @@ POINT_TRIADS = tuple(
      tuple(SYMBOL_OF_LINE_TAG[DESARGUES.line_labels[l]]
            for l in DESARGUES.lines_through(p)))
     for p in DESARGUES.points)
+# (point tag, its three symbols, their three indices into SYMBOLS)
+_POINT_SLOTS = tuple((tag, names, *map(SYMBOLS.index, names))
+                     for tag, names in POINT_TRIADS)
+# (line, index into SYMBOLS of its symbol), in line order
+_LINE_SLOTS = tuple((l, SYMBOLS.index(s)) for l, s in LINE_SYMBOLS)
+_read_symbols = itemgetter(*SYMBOLS)
 _SIMPLEX = space_dual_desargues(DESARGUES)
 # (triangle tag, its three edges), in triangle order; every
 # SimplicialComplex4 has these faces
 FACE_EDGES = tuple(
     (_SIMPLEX.triangle_labels[t], _SIMPLEX.edges_of_triangle(t))
     for t in _SIMPLEX.triangles)
-
-
-def _require_all_symbols(spins: Mapping[str, Spin]) -> dict[str, Spin]:
-    missing = [s for s in SYMBOLS if s not in spins]
-    if missing:
-        raise MissingSymbol(f"missing spin symbols: {', '.join(missing)}")
-    return {s: spins[s] for s in SYMBOLS}
 
 
 def _five_symbols(self) -> tuple[SixJ, ...]:
@@ -119,18 +126,26 @@ def label_desargues(spins: Mapping[str, Spin]) -> DesarguesSpinLabeling:
     Raises TriadViolation carrying every failing point (its tag, the
     three symbols meeting there and their spins).
     """
-    symbol_spins = _require_all_symbols(spins)
-    twice = {s: spin.twice for s, spin in symbol_spins.items()}
-    violations = [(tag, (i, j, k),
-                   (symbol_spins[i], symbol_spins[j], symbol_spins[k]))
-                  for tag, (i, j, k) in POINT_TRIADS
-                  if not triad_valid_twice(twice[i], twice[j], twice[k])]
+    # membership first, so that nothing is read (and a defaultdict is
+    # not filled) unless every symbol is there
+    missing = [s for s in SYMBOLS if s not in spins]
+    if missing:
+        raise MissingSymbol(f"missing spin symbols: {', '.join(missing)}")
+    values = _read_symbols(spins)
+    t = [spin.twice for spin in values]
+    # a triad couples when its perimeter is even and the triangle
+    # inequalities hold
+    violations = [(tag, names, (values[i], values[j], values[k]))
+                  for tag, names, i, j, k in _POINT_SLOTS
+                  for a, b, c in ((t[i], t[j], t[k]),)
+                  if (a + b + c) % 2 or not abs(a - b) <= c <= a + b]
     if violations:
         raise TriadViolation(
             "triads fail at points "
             + ", ".join(v[0] for v in violations), violations)
-    line_spins = {l: symbol_spins[s] for l, s in LINE_SYMBOLS}
-    return DesarguesSpinLabeling(DESARGUES, line_spins, symbol_spins)
+    line_spins = {l: values[i] for l, i in _LINE_SLOTS}
+    return DesarguesSpinLabeling(DESARGUES, line_spins,
+                                 dict(zip(SYMBOLS, values)))
 
 
 def transfer_labeling(d: DesarguesSpinLabeling,
@@ -146,11 +161,11 @@ def transfer_labeling(d: DesarguesSpinLabeling,
                 f"no edge of the complex carries tag {tag!r}") from None
         edge_spins[edge] = spin
 
-    violations = []
-    for tag, edges in FACE_EDGES:
-        triple = tuple(edge_spins[e] for e in edges)
-        if not triad_valid_twice(*(s.twice for s in triple)):
-            violations.append((tag, (), triple))
+    t = {e: spin.twice for e, spin in edge_spins.items()}
+    violations = [(tag, (), (edge_spins[i], edge_spins[j], edge_spins[k]))
+                  for tag, (i, j, k) in FACE_EDGES
+                  for a, b, c in ((t[i], t[j], t[k]),)
+                  if (a + b + c) % 2 or not abs(a - b) <= c <= a + b]
     if violations:
         raise TriadViolation(
             "face triads fail at "

@@ -20,6 +20,9 @@ the kernel's large path (binary splitting and a packed prefactor),
 whose triples must equal it.
 sixj_or_zero_twice, the former library helper returning exact zero off
 the triads, serves the *_sides_split sums.
+label_desargues_by_triads is the former label_desargues: a dict of the
+ten spins, then one triad_valid_twice call per point triad, as the
+reference for the slot-table check of spinnet.labeling.
 """
 
 from collections import Counter
@@ -28,7 +31,10 @@ from functools import lru_cache
 from math import gcd
 
 from spinnet.exactnum import SqrtRational, factorial, phase_from_twice
-from spinnet.errors import IncompatibleRadicands, PhaseParityError
+from spinnet.errors import (IncompatibleRadicands, MissingSymbol,
+                            PhaseParityError, TriadViolation)
+from spinnet.labeling import (DESARGUES, LINE_SYMBOLS, POINT_TRIADS, SYMBOLS,
+                              DesarguesSpinLabeling)
 from spinnet.wigner import (invalid_triads_twice, sixj_value_twice,
                             triad_valid_twice)
 
@@ -36,7 +42,8 @@ __all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum",
            "horner_sixj_raw", "sixj_or_zero_twice",
            "split_mul", "split_add", "orthogonality_sides_split",
            "pentagon_sides_split", "pachner_14_sides_split",
-           "legendre_triangle_sqrt", "legendre_factorial_exponents"]
+           "legendre_triangle_sqrt", "legendre_factorial_exponents",
+           "label_desargues_by_triads"]
 
 
 def _triangle_sq(tj1, tj2, tj3) -> Fraction:
@@ -359,3 +366,26 @@ def legendre_factorial_exponents(n, bits=16):
     """The prime-exponent vector of n!, packed field by field, by Legendre."""
     return sum(_legendre(n, p) << (i * bits)
                for i, p in enumerate(_primes_upto(max(n, 1))))
+
+
+def _require_all_symbols(spins):
+    missing = [s for s in SYMBOLS if s not in spins]
+    if missing:
+        raise MissingSymbol(f"missing spin symbols: {', '.join(missing)}")
+    return {s: spins[s] for s in SYMBOLS}
+
+
+def label_desargues_by_triads(spins):
+    """The former label_desargues, one triad_valid_twice call per point."""
+    symbol_spins = _require_all_symbols(spins)
+    twice = {s: spin.twice for s, spin in symbol_spins.items()}
+    violations = [(tag, (i, j, k),
+                   (symbol_spins[i], symbol_spins[j], symbol_spins[k]))
+                  for tag, (i, j, k) in POINT_TRIADS
+                  if not triad_valid_twice(twice[i], twice[j], twice[k])]
+    if violations:
+        raise TriadViolation(
+            "triads fail at points "
+            + ", ".join(v[0] for v in violations), violations)
+    line_spins = {l: symbol_spins[s] for l, s in LINE_SYMBOLS}
+    return DesarguesSpinLabeling(DESARGUES, line_spins, symbol_spins)

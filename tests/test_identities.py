@@ -226,10 +226,13 @@ class TestResultShape:
         assert rec["lhs"] == str(res.lhs)
 
     def test_diff(self):
+        # the sides' difference, as a caller takes it
         res = be_check(BEInstance(*S(*(2,) * 9)), literal_form=True)
-        assert res.diff == SqrtRational(Fraction(1, 27) - Fraction(1, 36))
+        assert not res.equal
+        assert res.lhs - res.rhs == SqrtRational(Fraction(1, 27)
+                                                 - Fraction(1, 36))
         ok = be_check(BEInstance(*S(*(2,) * 9)))
-        assert ok.diff == SqrtRational(0)
+        assert ok.equal and ok.lhs - ok.rhs == SqrtRational(0)
 
 
 class TestCopyAndPickle:

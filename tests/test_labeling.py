@@ -1,9 +1,11 @@
+import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
-from spinnet.errors import LabelTransferMismatch, TriadViolation
+from spinnet.errors import LabelTransferMismatch, MissingSymbol, TriadViolation
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.identities import (
     ALL_TRIADS,
@@ -25,6 +27,8 @@ from spinnet.labeling import (
 from spinnet.projective import build_desargues, space_dual_desargues
 from spinnet.symmetry import canonicalize_quadruple
 from spinnet.wigner import sixj_value
+
+from oracles import label_desargues_by_triads
 
 
 def constant_map(twice):
@@ -122,6 +126,20 @@ class TestLabelDesargues:
         with pytest.raises(KeyError):
             label_desargues(spins)
 
+    def test_every_missing_symbol_listed_in_symbol_order(self):
+        spins = {s: Spin(0) for s in ("r", "b", "p", "e", "a")}
+        with pytest.raises(MissingSymbol) as err:
+            label_desargues(spins)
+        assert str(err.value) == "missing spin symbols: c, d, f, q, x"
+
+    def test_defaultdict_missing_symbol_is_not_filled(self):
+        spins = defaultdict(lambda: Spin(0), constant_map(2))
+        del spins["c"]
+        with pytest.raises(MissingSymbol) as err:
+            label_desargues(spins)
+        assert str(err.value) == "missing spin symbols: c"
+        assert list(spins) == [s for s in SYMBOLS if s != "c"]
+
     def test_quadrangle_symbols_match_identity_arrangement(self):
         lab = label_desargues(constant_map(2))
         inst = BEInstance(*(Spin(2),) * 9)
@@ -141,6 +159,41 @@ class TestLabelDesargues:
         lab = label_desargues(spins)
         assert lab.symbol_spins["a"].j == Fraction(1, 2)
         assert lab.to_json_dict()["symbol_spins"]["a"] == "1/2"
+
+
+def _outcome(label, spins):
+    """Everything label(spins) shows: violations and message, or dicts."""
+    try:
+        d = label(spins)
+    except TriadViolation as exc:
+        return False, str(exc), exc.violations
+    return (True, d.structure, list(d.symbol_spins.items()),
+            list(d.line_spins.items()))
+
+
+class TestSlotTableAgainstTriadCalls:
+    """label_desargues against the former one-call-per-triad check."""
+
+    SPINS = [Spin(t) for t in range(7)]
+
+    def check(self, draws):
+        accepted = 0
+        for draw in draws:
+            spins = dict(zip(SYMBOLS, (self.SPINS[t] for t in draw)))
+            got = _outcome(label_desargues, spins)
+            assert got == _outcome(label_desargues_by_triads, spins), draw
+            accepted += got[0]
+        return accepted
+
+    def test_every_draw_up_to_twice_2(self):
+        # all 3**10 draws, 227 of them valid labelings
+        assert self.check(itertools.product(range(3), repeat=10)) == 227
+
+    def test_seeded_draws_up_to_twice_6(self):
+        rng = random.Random(20260)
+        draws = [tuple(rng.randrange(7) for _ in SYMBOLS)
+                 for _ in range(20000)]
+        assert self.check(draws) > 0
 
 
 class TestTransfer:

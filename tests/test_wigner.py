@@ -357,6 +357,40 @@ class TestLargePath:
                                           _tree_product(downs), rad)
 
 
+def _thin_with_steps(twice, s):
+    # {j j s; j j s} and a near-thin neighbour {j j+1/2 s+1/2; j j+1/2
+    # s+1/2}, in twice-values, each with exactly s ratio steps and
+    # zmin = j + s/2 (+ 1/2), so twice fixes where zmin + 1 lies
+    return [(twice, twice, 2 * s, twice, twice, 2 * s),
+            (twice, twice + 1, 2 * s + 1, twice, twice + 1, 2 * s + 1)]
+
+
+class TestThinAboveTheMemo:
+    """Symbols with few steps whose (zmin+1)! lies past the factorial
+    memo take the large path, which never multiplies a factorial out;
+    their triples equal the Horner reference."""
+
+    @pytest.mark.parametrize("twice", [9998, 10001, 12000])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 99])
+    def test_against_horner(self, twice, steps):
+        for t in _thin_with_steps(twice, steps):
+            assert _steps(t) == steps
+            assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
+
+    def test_path_switches_at_the_memo(self, monkeypatch):
+        large = kernel._sixj_large
+        ran = []
+        monkeypatch.setattr(kernel, "_sixj_large",
+                            lambda *t: ran.append(t) or large(*t))
+        # zmin + 1 is 9999 and 10000: one below the memo's size, one at it
+        below = (9998, 9998, 0, 9998, 9998, 0)
+        at = (9998, 9998, 2, 9998, 9998, 2)
+        assert exactnum._FACTORIAL_MEMO_SIZE == 10_000
+        for t in (below, at):
+            assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
+        assert ran == [at]
+
+
 class TestDimensionWeight:
     # the weight 2j + 1 of the identity sums is the irrep dimension
     @pytest.mark.parametrize("twice,weight", [(0, 1), (1, 2), (6, 7)])
