@@ -290,9 +290,9 @@ def _cmd_verify_pachner(args, out):
     return _single_result(out, res, instance, args.format)
 
 
-def _structure_out(out, structure, fmt):
+def _structure_out(out, structure, fmt, bipartite=True):
     if fmt == "dot":
-        out.write(structure.to_dot(bipartite=True))
+        out.write(structure.to_dot(bipartite=bipartite))
     elif fmt == "json":
         out.write(_dump(structure.to_json_dict()) + "\n")
     else:
@@ -313,7 +313,7 @@ def _cmd_build_desargues(args, out):
 def _cmd_space_dual(args, out):
     complex4 = _STRUCTURES["simplex"]()
     if args.format == "json":
-        out.write(_dump(complex4.to_json_dict()) + "\n")
+        _structure_out(out, complex4, "json")
     else:
         v, e, t, tt = complex4.f_vector()
         out.write(f"f-vector ({v}, {e}, {t}, {tt})\n")
@@ -405,14 +405,10 @@ def _cmd_regularize(args, out):
 
 
 def _cmd_export(args, out):
-    structure = _STRUCTURES[args.what]()
-    if args.format == "json":
-        out.write(_dump(structure.to_json_dict()) + "\n")
-    elif args.what == "simplex":
+    if args.what == "simplex" and args.format == "dot":
         raise SpinnetError("the 4-simplex exports as json only")
-    else:
-        out.write(structure.to_dot(bipartite=not args.cliques))
-    return 0
+    return _structure_out(out, _STRUCTURES[args.what](), args.format,
+                          bipartite=not args.cliques)
 
 
 def _cmd_amplitudes_enumerate(args, out):

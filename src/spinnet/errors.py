@@ -29,10 +29,6 @@ class NegativeSpinAfterTransform(SpinnetError):
     """A Regge map produced a negative entry (inconsistent input)."""
 
 
-class ReggeNotApplicable(SpinnetError):
-    """Semi-perimeter is half-odd-integral, so s - j is not a spin."""
-
-
 class UnrealizableQuadrangle(SpinnetError):
     """No diagonal pair (x, y) is compatible with the four given sides."""
 

@@ -26,8 +26,9 @@ factor is ever introduced).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .errors import InvalidInstance, PhaseParityError, SpinnetError
+from .errors import InvalidInstance, SpinnetError
 from .exactnum import (
     ZERO_TRIPLE,
     Spin,
@@ -131,12 +132,8 @@ class BEInstance:
         return sum(self._twice)
 
     def __str__(self):
-        return _instance_str(self._twice)
-
-
-def _instance_str(t) -> str:
-    return ("(" + ", ".join(f"{n}={Spin(v)}"
-                            for n, v in zip(BE_SYMBOL_NAMES, t)) + ")")
+        return ("(" + ", ".join(f"{n}={getattr(self, n)}"
+                                for n in BE_SYMBOL_NAMES) + ")")
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,6 @@ class ExactCheckResult:
     rhs: SqrtRational
     equal: bool
     form: str
-    detail: str = ""
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,11 +154,11 @@ class ExactCheckResult:
         }
 
 
-def _result(lhs, rhs, form, detail="") -> ExactCheckResult:
+def _result(lhs, rhs, form) -> ExactCheckResult:
     # lhs, rhs: canonical triples, so equal values have equal triples
     return ExactCheckResult(SqrtRational._from_triple(*lhs),
                             SqrtRational._from_triple(*rhs),
-                            lhs == rhs, form, detail)
+                            lhs == rhs, form)
 
 
 def _orthogonality_sides(ta, tb, tc, td, ty, typ):
@@ -198,10 +194,7 @@ def _be_sides(t, literal_form: bool):
     # t holds the seven fixed triads and x runs over (abx) (cdx) (efx),
     # so all ten triads of the five symbols hold
     for tx in admissible_x_twice(ta, tb, tc, td, te, tf):
-        if (phi + tx) % 2:
-            raise PhaseParityError(
-                f"phi + x is half-integral for {_instance_str(t)} "
-                f"at x={tx}/2")
+        # phi + x = (abx) + (cdx) + (efx) + (pqr) - 2x, all even perimeters
         sign = -1 if ((phi + tx) // 2) % 2 else 1
         terms.append(_product(
             (_sixj_cached((ta, tb, tx, tc, td, tp)),
@@ -214,20 +207,16 @@ def _be_sides(t, literal_form: bool):
     return _sum(terms), rhs
 
 
-# the two readings of one pentagon x-sum: move -> (form, detail)
-_PENTAGON_FORMS = {
-    "be": ("pentagon", ""),
-    "pachner-23": ("pachner-2-3", "x-sum of the three x-tetrahedra vs the "
-                                  "two-tetrahedron product"),
-}
+# the two readings of one pentagon x-sum: move -> form
+_PENTAGON_FORMS = {"be": "pentagon", "pachner-23": "pachner-2-3"}
 
 
 def _pentagon_result(t, move: str, literal_form: bool) -> ExactCheckResult:
-    form, detail = _PENTAGON_FORMS[move]
+    form = _PENTAGON_FORMS[move]
     lhs, rhs = _be_sides(t, literal_form)
     if literal_form:
         form += "-unweighted"
-    return _result(lhs, rhs, form, detail)
+    return _result(lhs, rhs, form)
 
 
 def be_check(inst: BEInstance, literal_form: bool = False) -> ExactCheckResult:
@@ -257,37 +246,29 @@ def pachner_14_check(inst: BEInstance, p_prime: Spin) -> ExactCheckResult:
 
 def pachner_14_checks(inst: BEInstance, p_primes) -> list[ExactCheckResult]:
     """pachner_14_check for each p' in p_primes, sharing one pentagon x-sum."""
-    return _pachner_14_results(inst._twice, p_primes)
+    return _pachner_14_results(inst._twice, [p.twice for p in p_primes])
 
 
-def _pachner_14_results(t, p_primes) -> list[ExactCheckResult]:
-    """The 1-4 checks of valid twice tuple t, one for each Spin p'."""
+def _pachner_14_results(t, tp_primes) -> list[ExactCheckResult]:
+    """The 1-4 checks of valid twice tuple t, one for each twice-value p'."""
     ta, tb, tc, td, _, _, tp, _, _ = t
     pentagon, two_symbols = _be_sides(t, literal_form=False)
     out = []
-    for p_prime in p_primes:
+    for tpp in tp_primes:
         # delta is the orthogonality rhs, delta_{pp'} ... / (2p'+1); it
         # is nonzero only at p' = p, where the right-hand symbols are the
         # pentagon's own two
-        ortho, delta = _orthogonality_sides(ta, tb, tc, td, tp, p_prime.twice)
+        ortho, delta = _orthogonality_sides(ta, tb, tc, td, tp, tpp)
         out.append(_result(
             _reduce(*_product((ortho, pentagon))),
             _reduce(*_product((two_symbols, delta))),
-            "pachner-1-4",
-            detail=f"p'={p_prime}, contraction over x and the p slot"))
+            "pachner-1-4"))
     return out
 
 
 def iter_orthogonality_grid(max_twice: int):
     """All (a, b, c, d, y, y') twice-tuples with entries <= max_twice."""
-    rng = range(max_twice + 1)
-    for ta in rng:
-        for tb in rng:
-            for tc in rng:
-                for td in rng:
-                    for ty in rng:
-                        for typ in rng:
-                            yield (ta, tb, tc, td, ty, typ)
+    return product(range(max_twice + 1), repeat=6)
 
 
 def iter_be_grid(max_twice: int):
@@ -342,8 +323,8 @@ def iter_be_grid_checks(max_twice: int, move: str,
 
 
 def _iter_pachner_14_grid_checks(max_twice):
-    p_primes = [Spin(v) for v in range(max_twice + 1)]
+    tp_primes = range(max_twice + 1)
     for t in iter_be_grid(max_twice):
-        rows = _pachner_14_results(t, p_primes)
-        for p_prime, res in zip(p_primes, rows):
-            yield t + (p_prime.twice,), res
+        rows = _pachner_14_results(t, tp_primes)
+        for tpp, res in zip(tp_primes, rows):
+            yield t + (tpp,), res

@@ -89,12 +89,6 @@ class IncidenceStructure:
     def points_on(self, l) -> tuple:
         return tuple(p for p in self.points if (p, l) in self.incidence)
 
-    def point_degree(self, p) -> int:
-        return sum(1 for l in self.lines if (p, l) in self.incidence)
-
-    def line_degree(self, l) -> int:
-        return sum(1 for p in self.points if (p, l) in self.incidence)
-
     def to_json_dict(self) -> dict:
         return {
             "points": list(self.points),
@@ -150,9 +144,9 @@ def validate_configuration(s: IncidenceStructure,
     """True iff s is a (p_gamma, l_pi) configuration for the given signature."""
     if len(s.points) != sig.p or len(s.lines) != sig.l:
         return False
-    if any(s.point_degree(p) != sig.gamma for p in s.points):
+    if any(len(s.lines_through(p)) != sig.gamma for p in s.points):
         return False
-    return all(s.line_degree(l) == sig.pi for l in s.lines)
+    return all(len(s.points_on(l)) == sig.pi for l in s.lines)
 
 
 def build_quadrangle() -> IncidenceStructure:

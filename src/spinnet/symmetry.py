@@ -21,11 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .errors import (
-    NegativeSpinAfterTransform,
-    ReggeNotApplicable,
-    UnrealizableQuadrangle,
-)
+from .errors import NegativeSpinAfterTransform, UnrealizableQuadrangle
 from .exactnum import Spin
 from .wigner import SixJ, admissible_x_twice
 
@@ -120,9 +116,6 @@ class SixJSymmetryElement:
     def apply_twice(self, t: tuple[int, ...]) -> tuple[int, ...]:
         return _apply2(self.matrix2, t)
 
-    def is_classical(self) -> bool:
-        return self.regge_component == 0
-
 
 @lru_cache(maxsize=1)
 def _group_data():
@@ -177,22 +170,16 @@ def symmetry_group() -> tuple[SixJSymmetryElement, ...]:
 
 def classical_group() -> tuple[SixJSymmetryElement, ...]:
     """The 24 classical elements (column perms and paired flips)."""
-    return tuple(e for e in symmetry_group() if e.is_classical())
+    return tuple(e for e in symmetry_group() if e.regge_component == 0)
 
 
 def regge_transform(s: SixJ) -> SixJ:
     """{a b x; c d y} -> {s-a s-b x; s-c s-d y} with s the semi-perimeter."""
     ta, tb, tx, tc, td, ty = s.twice_tuple()
-    total = ta + tb + tc + td
-    if total % 2:
-        raise ReggeNotApplicable(
-            f"semi-perimeter of {s} is half-odd-integral")
-    h = total // 2
-    news = (h - ta, h - tb, tx, h - tc, h - td, ty)
-    if any(v < 0 for v in news):
-        raise NegativeSpinAfterTransform(
-            f"transform of {s} yields a negative entry")
-    return SixJ.from_twice(news)
+    # (abx) and (cdx) make a+b+c+d even and each of a, b, c, d at most
+    # the sum of the other three, so s is a spin and every s - j >= 0
+    h = (ta + tb + tc + td) // 2
+    return SixJ.from_twice((h - ta, h - tb, tx, h - tc, h - td, ty))
 
 
 def symmetry_orbit(s: SixJ) -> frozenset[SixJ]:

@@ -57,10 +57,7 @@ class SixJ:
     def __post_init__(self):
         bad = invalid_triads_twice(self.twice_tuple())
         if bad:
-            raise InvalidTriads(
-                f"invalid triads in {self}: "
-                + ", ".join(str(t) for t in bad),
-                triads=bad)
+            raise _triads_error(bad, f" in {self}")
 
     @classmethod
     def from_twice(cls, t: tuple[int, int, int, int, int, int]) -> "SixJ":
@@ -85,6 +82,14 @@ def invalid_triads_twice(t) -> list[tuple[Fraction, ...]]:
         if not triad_valid_twice(t[i], t[j], t[k]):
             bad.append((Fraction(t[i], 2), Fraction(t[j], 2), Fraction(t[k], 2)))
     return bad
+
+
+def _triads_error(bad, where="") -> InvalidTriads:
+    """InvalidTriads listing each failing triad as (j1, j2, j3)."""
+    return InvalidTriads(
+        f"invalid triads{where}: " + ", ".join(
+            "(" + ", ".join(map(str, triad)) + ")" for triad in bad),
+        triads=bad)
 
 
 def admissible_x_twice(*twice) -> range:
@@ -138,7 +143,6 @@ def sixj_value_twice(t: tuple[int, int, int, int, int, int]) -> SqrtRational:
             f"a symbol needs six non-negative integer twice-values, got {t!r}")
     bad = invalid_triads_twice(t)
     if bad:
-        raise InvalidTriads(
-            "invalid triads " + ", ".join(str(x) for x in bad), triads=bad)
+        raise _triads_error(bad)
     return SqrtRational._from_triple(*_sixj_cached(t))
 

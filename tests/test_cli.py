@@ -54,6 +54,18 @@ class TestSixj:
         code, _, err = run(capsys, "sixj", "1", "0", "0", "0", "0", "0")
         assert code == 2 and "triads" in err
 
+    @pytest.mark.parametrize("argv, triads", [
+        (("--twice", *["1"] * 6),
+         "in {1/2 1/2 1/2; 1/2 1/2 1/2}: " + ", ".join(
+             ["(1/2, 1/2, 1/2)"] * 4)),
+        (("1", "0", "0", "0", "0", "0"),
+         "in {1 0 0; 0 0 0}: (1, 0, 0), (1, 0, 0)"),
+    ])
+    def test_invalid_triads_print_as_spins(self, capsys, argv, triads):
+        code, out, err = run(capsys, "sixj", *argv)
+        assert code == 2 and out == ""
+        assert err == f"spinnet: invalid triads {triads}\n"
+
     def test_bad_spin_string(self, capsys):
         code, _, err = run(capsys, "sixj", "[offset]", "0", "0", "0", "0", "0")
         assert code == 2
@@ -338,6 +350,11 @@ class TestStructures:
         code, out, _ = run(capsys, "export", "desargues", "--format", "dot",
                            "--cliques")
         assert "shape=box" not in out
+
+    def test_export_simplex_dot_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "export", "simplex", "--format", "dot")
+        assert code == 2 and out == ""
+        assert err == "spinnet: the 4-simplex exports as json only\n"
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "d.json"
@@ -624,3 +641,36 @@ def test_golden_bytes(capsys, monkeypatch, argv, code, digest):
         got, out, _ = run(capsys, *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(section, lang):
+    """The first ```lang code block under the README heading section."""
+    text = README.read_text()
+    fence = f"```{lang}\n"
+    start = text.index(fence, text.index(f"\n## {section}\n")) + len(fence)
+    return text[start:text.index("```", start)]
+
+
+_README_CLI = [line for line in _readme_block("CLI", "sh").splitlines()
+               if line.startswith("spinnet ")]
+
+
+@pytest.mark.parametrize("line", _README_CLI)
+def test_readme_cli_examples(capsys, line):
+    command, _, note = line.partition("#")
+    note = note.strip()
+    code, out, _ = run(capsys, *command.split()[1:])
+    assert code == (1 if note == "exit 1" else 0)
+    if note.startswith("-> "):
+        assert out.splitlines()[-1] == note[3:]
+
+
+def test_readme_library_example(capsys):
+    exec(_readme_block("Library example", "python"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert [lines[0], lines[1], lines[3]] == [
+        "1/30*sqrt(21/1)", "4", "1/7776*sqrt(1/1)"]
