@@ -20,6 +20,7 @@ from .kernel import backend as kernel_backend
 from .labeling import (
     DesarguesSpinLabeling,
     SimplexSpinLabeling,
+    iter_regularized_enumeration,
     label_desargues,
     network_amplitude,
     regularized_enumeration,
@@ -79,6 +80,7 @@ __all__ = [
     "errors",
     "factorial",
     "isomorphic",
+    "iter_regularized_enumeration",
     "kernel_backend",
     "label_desargues",
     "network_amplitude",

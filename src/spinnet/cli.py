@@ -30,9 +30,9 @@ from .identities import (
 )
 from .labeling import (
     SYMBOLS,
+    iter_regularized_enumeration,
     label_desargues,
     network_amplitude,
-    regularized_enumeration,
     transfer_labeling,
 )
 from .projective import (
@@ -416,17 +416,23 @@ def _cmd_amplitudes_enumerate(args, out):
     others = _spin_map_arg(args.others, ("e", "f", "p", "q", "r"))
     _check_single_size(spins + list(others.values()))
     quad = canonicalize_quadruple(*spins)
-    entries = regularized_enumeration(quad, others)
-    data = {
-        "canonical": str(quad),
-        "states": len(entries),
-        "entries": [{"x": str(x), "amplitude": str(a)} for x, a in entries],
-    }
-    if args.format == "json":
-        out.write(_dump(data) + "\n")
-    else:
+    # each entry is written as it is produced; when no x survives the
+    # iterator raises before the first write
+    entries = iter_regularized_enumeration(quad, others)
+    if args.format == "text":
         for x, a in entries:
             out.write(f"x={x}: {a}\n")
+        return 0
+    # the layout of _dump({"canonical", "entries", "states"}): its sorted
+    # keys put the count last
+    head = '{\n  "canonical": ' + json.dumps(str(quad)) + ',\n  "entries": [\n'
+    states = 0
+    for x, a in entries:
+        entry = _dump({"amplitude": str(a), "x": str(x)})
+        out.write((",\n" if states else head)
+                  + "    " + entry.replace("\n", "\n    "))
+        states += 1
+    out.write(f'\n  ],\n  "states": {states}\n}}\n')
     return 0
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "transfer_labeling",
     "network_amplitude",
     "regularized_enumeration",
+    "iter_regularized_enumeration",
 ]
 
 SYMBOLS = BE_SYMBOL_NAMES + ("x",)
@@ -188,6 +189,16 @@ def regularized_enumeration(q: CanonicalQuadruple,
     most 2a+1 states appear; x values that break one of the remaining
     triads are skipped.  Raises TriadViolation when no x survives.
     """
+    return list(iter_regularized_enumeration(q, others))
+
+
+def iter_regularized_enumeration(q: CanonicalQuadruple,
+                                 others: Mapping[str, Spin]):
+    """The (x, amplitude) pairs of regularized_enumeration, one at a time.
+
+    Raises MissingSymbol before the first pair, and TriadViolation in
+    place of one when no x survives.
+    """
     fixed = {"a": q.a, "b": q.b, "c": q.c, "d": q.d}
     for name in ("e", "f", "p", "q", "r"):
         if name not in others:
@@ -195,7 +206,7 @@ def regularized_enumeration(q: CanonicalQuadruple,
         fixed[name] = others[name]
 
     x_min, x_max, _, _ = running_range(q)
-    out = []
+    states = 0
     for tx in range(x_min.twice, x_max.twice + 2, 2):
         assignment = dict(fixed)
         assignment["x"] = Spin(tx)
@@ -203,8 +214,8 @@ def regularized_enumeration(q: CanonicalQuadruple,
             labeling = label_desargues(assignment)
         except TriadViolation:
             continue
-        out.append((Spin(tx), network_amplitude(labeling)))
-    if not out:
+        yield Spin(tx), network_amplitude(labeling)
+        states += 1
+    if not states:
         raise TriadViolation(
             f"no admissible running spin for {q} with the given symbols")
-    return out

@@ -6,10 +6,19 @@ arbitrary-precision integers (see spinnet.kernel); an out-of-triad
 symbol raises InvalidTriads rather than returning 0, so enumeration bugs
 in identity verifiers cannot hide behind silent zeros.
 
-The value cache holds the kernel's own (num, den, rad) triple.  The
-identity sums read it straight from _sixj_cached, because every symbol
-they look up is admissible by construction; the functions returning a
-value wrap it in a SqrtRational without factoring again.
+The value cache holds the kernel's own (num, den, rad) triple, in two
+levels.  _sixj_cached is keyed on the exact twice tuple, so a repeated
+symbol costs one tuple hash.  On a miss it looks the symbol up by its
+Regge orbit: the sorted four triad sums (alpha) and three opposite-pair
+sums (beta) of the Regge array.  The 144 symmetries act on these as
+S4 x S3, so the sorted (alpha, beta) names the orbit exactly (Regge,
+Nuovo Cimento 11 (1959) 116), and _sixj_orbit runs the kernel once per
+orbit, on a representative rebuilt from the key.  Both levels are
+module-level functools caches, so cache_clear empties each of them.
+
+The identity sums read values straight from _sixj_cached, because every
+symbol they look up is admissible by construction; the functions
+returning a value wrap it in a SqrtRational without factoring again.
 """
 
 from __future__ import annotations
@@ -116,8 +125,48 @@ def admissible_x_twice(*twice) -> range:
 @lru_cache(maxsize=None)
 def _sixj_cached(t: tuple[int, ...]) -> tuple[int, int, int]:
     # the kernel's (num, den, rad) triple of a valid symbol, canonical:
-    # gcd(num, den) == 1, den > 0, rad square-free (1 for zero)
-    return kernel.sixj_raw(*t)
+    # gcd(num, den) == 1, den > 0, rad square-free (1 for zero).  A miss
+    # sorts the doubled triad sums and pair sums by compare-exchange
+    # networks, which build no list, into the orbit key; the partial sums
+    # ab, cd and xy are shared because the miss path is the whole of a
+    # cold item's overhead.
+    ta, tb, tx, tc, td, ty = t
+    ab = ta + tb
+    cd = tc + td
+    xy = tx + ty
+    a1, a2, a3, a4 = ab + tx, ta + td + ty, tc + tb + ty, cd + tx
+    b1, b2, b3 = ab + cd, tb + td + xy, ta + tc + xy
+    if a1 > a2:
+        a1, a2 = a2, a1
+    if a3 > a4:
+        a3, a4 = a4, a3
+    if a1 > a3:
+        a1, a3 = a3, a1
+    if a2 > a4:
+        a2, a4 = a4, a2
+    if a2 > a3:
+        a2, a3 = a3, a2
+    if b1 > b2:
+        b1, b2 = b2, b1
+    if b2 > b3:
+        b2, b3 = b3, b2
+    if b1 > b2:
+        b1, b2 = b2, b1
+    return _sixj_orbit((a1, a2, a3, a4, b1, b2, b3))
+
+
+@lru_cache(maxsize=None)
+def _sixj_orbit(key: tuple[int, ...]) -> tuple[int, int, int]:
+    # key = (A1..A4, B1..B3), both ascending.  The representative
+    # inverts the kernel's alpha/beta sums; zmin = A4/2 and zmax = B1/2
+    # are orbit invariants, so it takes the kernel path of every member.
+    a1, a2, a3, a4, b1, b2, b3 = key
+    b12 = b1 + b2
+    b13 = b1 + b3
+    b23 = b2 + b3
+    return kernel.sixj_raw((b13 - a3 - a4) >> 1, (b12 - a2 - a4) >> 1,
+                           (b23 - a2 - a3) >> 1, (b13 - a1 - a2) >> 1,
+                           (b12 - a1 - a3) >> 1, (b23 - a1 - a4) >> 1)
 
 
 def sixj_value(s: SixJ) -> SqrtRational:

@@ -50,6 +50,7 @@ def test_names_the_workers_read_exist():
     assert callable(spinnet.kernel_backend)
     assert callable(wigner.sixj_value_twice)
     assert callable(wigner._sixj_cached.cache_clear)
+    assert callable(wigner._sixj_orbit.cache_clear)
 
 
 def _workload_literals():

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,11 +13,14 @@ import pytest
 
 import spinnet.cli
 import spinnet.identities
+import spinnet.labeling
 from spinnet.cli import MAX_SINGLE_TWICE, main, verify_grid
 from spinnet.errors import CeilingExceeded, InvalidSpin, SpinnetError
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.identities import BEInstance, iter_be_grid
-from spinnet.labeling import SYMBOLS, label_desargues, network_amplitude
+from spinnet.labeling import (SYMBOLS, label_desargues, network_amplitude,
+                              regularized_enumeration)
+from spinnet.symmetry import canonicalize_quadruple
 from spinnet.wigner import SixJ, sixj_value
 
 
@@ -453,6 +457,46 @@ class TestLabelAmplitude:
         assert code == 0 and data["states"] == 3
 
     @pytest.mark.parametrize("argv", [
+        ("--twice", "11", "9", "8", "10", "--others", "e=6,f=9/2,p=5,q=4,r=5"),
+        ("--twice", "10", "9", "8", "9",
+         "--others", "e=9/2,f=6,p=1/2,q=5,r=11/2"),
+        ("--twice", "6", "12", "12", "10", "--others", "e=6,f=6,p=6,q=6,r=6"),
+    ])
+    def test_enumerate_streams_the_whole_document(self, argv, monkeypatch):
+        # the streamed JSON equals the document dumped whole, and each
+        # entry is written before the next amplitude is computed
+        args = spinnet.cli.build_parser().parse_args(("enumerate",) + argv)
+        quad = canonicalize_quadruple(*(Spin(int(v)) for v in argv[1:5]))
+        others = {k: Spin.parse(v) for k, v in
+                  (kv.split("=") for kv in argv[-1].split(","))}
+        entries = regularized_enumeration(quad, others)
+        written = []
+        amplitude = spinnet.labeling.network_amplitude
+        buf = io.StringIO()
+        monkeypatch.setattr(spinnet.labeling, "network_amplitude",
+                            lambda lab: written.append(buf.tell())
+                            or amplitude(lab))
+        assert args.fn(args, buf) == 0
+        assert buf.getvalue() == spinnet.cli._dump({
+            "canonical": str(quad),
+            "states": len(entries),
+            "entries": [{"x": str(x), "amplitude": str(a)}
+                        for x, a in entries],
+        }) + "\n"
+        assert len(written) == len(entries) >= 5
+        assert written[0] == 0 and all(
+            u < v for u, v in zip(written, written[1:]))
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_enumerate_without_a_running_spin_writes_nothing(self, capsys,
+                                                             fmt):
+        code, out, err = run(capsys, "enumerate", "--twice", "2", "2", "2",
+                             "2", "--others", "e=0,f=10,p=0,q=0,r=0",
+                             "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("spinnet: no admissible running spin")
+
+    @pytest.mark.parametrize("argv", [
         ("amplitude", "--spins", SPINS.replace("a=1", "a=4001/2")),
         ("enumerate", "--twice", "4001", "2", "2", "2",
          "--others", "e=1,f=1,p=1,q=1,r=1"),
@@ -583,6 +627,12 @@ GOLDEN = [
     (("enumerate", "--format", "text", "1", "1", "1", "1",
       "--others", "e=1,f=1,p=1,q=1,r=1"), 0,
      "12d1ffadc304d1fecf719fbcdea24b4cb562559fd0b4a8eaa53e6c7113bc98a4"),
+    (("enumerate", "--twice", "11", "9", "8", "10",
+      "--others", "e=6,f=9/2,p=5,q=4,r=5"), 0,
+     "2520e2d430f19458084ddaf1312417e2b824492fd3ddc3c14eebf68a89ba6df1"),
+    (("enumerate", "--twice", "2", "2", "2", "2",
+      "--others", "e=0,f=10,p=0,q=0,r=0"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("amplitude", "--spins", "a=0,b=1,c=1,d=1,e=1,f=1,p=1,q=1,r=1,x=0"), 1,
      "ec93f49c4fd20c549d3f39297ae871308fb91f73876bc2e76a6c600c2cc8ab93"),
     (("export", "quadrangle"), 0,

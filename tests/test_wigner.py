@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -16,7 +18,7 @@ from oracles import (
     sixj_or_zero_twice,
     sixj_via_threej,
 )
-from spinnet import exactnum, kernel
+from spinnet import exactnum, kernel, wigner
 from spinnet.errors import InvalidSpin, InvalidTriads
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.wigner import (
@@ -27,6 +29,7 @@ from spinnet.wigner import (
     sixj_value_twice,
     triad_valid_twice,
 )
+from spinnet.symmetry import symmetry_orbit
 
 
 def iter_valid_sixj(max_twice):
@@ -389,6 +392,91 @@ class TestThinAboveTheMemo:
         for t in (below, at):
             assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
         assert ran == [at]
+
+
+def _orbit_key(t, monkeypatch):
+    # the key _sixj_cached passes to _sixj_orbit on a miss
+    monkeypatch.setattr(wigner, "_sixj_orbit", lambda key: key)
+    try:
+        return wigner._sixj_cached.__wrapped__(t)
+    finally:
+        monkeypatch.undo()
+
+
+def _orbit_representatives(keys, monkeypatch):
+    # the symbol _sixj_orbit hands the kernel for each key
+    monkeypatch.setattr(kernel, "sixj_raw", lambda *t: t)
+    try:
+        return {key: wigner._sixj_orbit.__wrapped__(key) for key in keys}
+    finally:
+        monkeypatch.undo()
+
+
+def _clear_spinnet_caches():
+    # every module-level object of a spinnet module with a cache_clear,
+    # the sweep the benchmark makes before each pass
+    for name, module in list(sys.modules.items()):
+        if name == "spinnet" or name.startswith("spinnet."):
+            for obj in list(vars(module).values()):
+                clear = getattr(obj, "cache_clear", None)
+                if callable(clear):
+                    clear()
+
+
+class TestOrbitCache:
+    """The value cache's second level, keyed by the sorted triad and pair
+    sums: the key names a Regge orbit exactly, and the kernel's value on
+    the orbit's representative is the value of every member."""
+
+    def test_key_classes_are_the_regge_orbits(self, monkeypatch):
+        classes = defaultdict(set)
+        for t in iter_valid_sixj(6):
+            classes[_orbit_key(t, monkeypatch)].add(t)
+        assert sum(map(len, classes.values())) == 3418
+        assert len(classes) == 217
+        reps = _orbit_representatives(classes, monkeypatch)
+        for key, members in classes.items():
+            # the representative may leave the window, but not its class
+            rep = reps[key]
+            assert _orbit_key(rep, monkeypatch) == key
+            orbit = {s.twice_tuple()
+                     for s in symmetry_orbit(SixJ.from_twice(rep))}
+            assert {t for t in orbit if max(t) <= 6} == members, key
+
+    def test_every_symbol_to_twice_8(self):
+        _clear_spinnet_caches()
+        for t in iter_valid_sixj(8):
+            assert wigner._sixj_cached(t) == kernel.sixj_raw(*t), t
+        assert wigner._sixj_orbit.cache_info().currsize == 630
+
+    def test_large_symbols_on_both_paths(self):
+        rng = random.Random(2000)
+        symbols = []
+        for _ in range(25):
+            twice = rng.randint(200, 2000)
+            symbols += _near_regular(rng, twice, 1) + [_skewed(rng, twice)]
+            symbols += _thin_with_steps(twice, rng.randrange(6))
+        paths = {_steps(t) >= kernel._SPLIT_STEPS for t in symbols}
+        assert paths == {False, True}
+        _clear_spinnet_caches()
+        for t in symbols:
+            assert wigner._sixj_cached(t) == kernel.sixj_raw(*t), t
+
+    def test_a_cleared_cache_runs_the_kernel_again(self, monkeypatch):
+        calls = []
+        raw = kernel.sixj_raw
+        monkeypatch.setattr(kernel, "sixj_raw",
+                            lambda *t: calls.append(t) or raw(*t))
+        t, image = (2, 3, 3, 4, 3, 1), (3, 2, 3, 3, 4, 1)
+        _clear_spinnet_caches()
+        value = wigner._sixj_cached(t)
+        assert len(calls) == 1
+        # the image swaps two columns: an exact miss, but an orbit hit
+        assert wigner._sixj_cached(t) == wigner._sixj_cached(image) == value
+        assert len(calls) == 1
+        _clear_spinnet_caches()
+        assert wigner._sixj_cached(image) == value
+        assert len(calls) == 2
 
 
 class TestDimensionWeight:
