@@ -394,24 +394,6 @@ class TestThinAboveTheMemo:
         assert ran == [at]
 
 
-def _orbit_key(t, monkeypatch):
-    # the key _sixj_cached passes to _sixj_orbit on a miss
-    monkeypatch.setattr(wigner, "_sixj_orbit", lambda key: key)
-    try:
-        return wigner._sixj_cached.__wrapped__(t)
-    finally:
-        monkeypatch.undo()
-
-
-def _orbit_representatives(keys, monkeypatch):
-    # the symbol _sixj_orbit hands the kernel for each key
-    monkeypatch.setattr(kernel, "sixj_raw", lambda *t: t)
-    try:
-        return {key: wigner._sixj_orbit.__wrapped__(key) for key in keys}
-    finally:
-        monkeypatch.undo()
-
-
 def _clear_spinnet_caches():
     # every module-level object of a spinnet module with a cache_clear,
     # the sweep the benchmark makes before each pass
@@ -428,19 +410,25 @@ class TestOrbitCache:
     sums: the key names a Regge orbit exactly, and the kernel's value on
     the orbit's representative is the value of every member."""
 
-    def test_key_classes_are_the_regge_orbits(self, monkeypatch):
+    def test_key_classes_are_the_regge_orbits(self):
+        key_of = wigner._sixj_cached.__wrapped__
+        rep_of = wigner._sixj_orbit.__wrapped__
         classes = defaultdict(set)
-        for t in iter_valid_sixj(6):
-            classes[_orbit_key(t, monkeypatch)].add(t)
+        with pytest.MonkeyPatch.context() as mp:
+            # the key a miss hands _sixj_orbit, and the symbol _sixj_orbit
+            # hands the kernel
+            mp.setattr(wigner, "_sixj_orbit", lambda key: key)
+            mp.setattr(kernel, "sixj_raw", lambda *t: t)
+            for t in iter_valid_sixj(6):
+                classes[key_of(t)].add(t)
+            reps = {key: rep_of(key) for key in classes}
+            # the representative may leave the window, but not its class
+            assert all(key_of(rep) == key for key, rep in reps.items())
         assert sum(map(len, classes.values())) == 3418
         assert len(classes) == 217
-        reps = _orbit_representatives(classes, monkeypatch)
         for key, members in classes.items():
-            # the representative may leave the window, but not its class
-            rep = reps[key]
-            assert _orbit_key(rep, monkeypatch) == key
             orbit = {s.twice_tuple()
-                     for s in symmetry_orbit(SixJ.from_twice(rep))}
+                     for s in symmetry_orbit(SixJ.from_twice(reps[key]))}
             assert {t for t in orbit if max(t) <= 6} == members, key
 
     def test_every_symbol_to_twice_8(self):
