@@ -86,9 +86,13 @@ X_FREE_TRIADS = tuple(t for t in ALL_TRIADS if "x" not in t)
 assert len(ALL_TRIADS) == 10 and len(X_FREE_TRIADS) == 7
 
 
-# slot indices into BE_SYMBOL_NAMES of each x-free triad
-_X_FREE_SLOTS = tuple(tuple(BE_SYMBOL_NAMES.index(n) for n in names)
+# (x-free triad, its three slot indices into BE_SYMBOL_NAMES)
+_X_FREE_SLOTS = tuple((names, *map(BE_SYMBOL_NAMES.index, names))
                       for names in X_FREE_TRIADS)
+
+# one shared Spin for each small twice-value, as grid instances use
+_SHARED_TWICE = range(64)
+_SPINS = tuple(map(Spin, _SHARED_TWICE))
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,11 @@ class BEInstance:
         t = (self.a.twice, self.b.twice, self.c.twice, self.d.twice,
              self.e.twice, self.f.twice, self.p.twice, self.q.twice,
              self.r.twice)
-        bad = [names for names, (i, j, k) in zip(X_FREE_TRIADS, _X_FREE_SLOTS)
-               if not triad_valid_twice(t[i], t[j], t[k])]
+        # a triad couples when its perimeter is even and the triangle
+        # inequalities hold
+        bad = [names for names, i, j, k in _X_FREE_SLOTS
+               for u, v, w in ((t[i], t[j], t[k]),)
+               if (u + v + w) % 2 or not abs(u - v) <= w <= u + v]
         if bad:
             raise InvalidInstance(
                 "invalid fixed triads: "
@@ -122,7 +129,14 @@ class BEInstance:
 
     @classmethod
     def from_twice(cls, t: tuple[int, ...]) -> "BEInstance":
-        return cls(*map(Spin, t))
+        """The instance BEInstance(*map(Spin, t)), validated the same way.
+
+        Twice-values below 64 reuse one shared Spin each; any other
+        entry, bool and negative int included, goes through Spin(v) and
+        is accepted or rejected exactly as there.
+        """
+        return cls(*[_SPINS[v] if type(v) is int and v in _SHARED_TWICE
+                     else Spin(v) for v in t])
 
     def twice_tuple(self) -> tuple[int, ...]:
         return self._twice
@@ -216,6 +230,10 @@ def _pentagon_result(t, move: str, literal_form: bool) -> ExactCheckResult:
     lhs, rhs = _be_sides(t, literal_form)
     if literal_form:
         form += "-unweighted"
+    if lhs == rhs:
+        # canonical triples: one immutable value serves both sides
+        value = SqrtRational._from_triple(*lhs)
+        return ExactCheckResult(value, value, True, form)
     return _result(lhs, rhs, form)
 
 

@@ -17,6 +17,7 @@ from spinnet.identities import (
     BEInstance,
     be_check,
     iter_be_grid,
+    iter_be_grid_checks,
     iter_orthogonality_grid,
     orthogonality_check,
 )
@@ -118,9 +119,16 @@ def test_criterion_04_pentagon():
         count += 1
         top = max(top, *t)
     assert literal_failures > 0
+    # the same identity on the twice <= 6 grid, on its twice tuples
+    wide = 0
+    for t, res in iter_be_grid_checks(6, "be"):
+        assert res.equal, t
+        wide += 1
+    assert wide == 204023
     print(f"PASS criterion 4: pentagon identity exact on {count} "
           f"instances of the twice <= 4 grid (coupled entries reach "
-          f"{top}); comparison report: literal unweighted form fails on "
+          f"{top}) and on {wide} tuples of the twice <= 6 grid; "
+          f"comparison report: literal unweighted form fails on "
           f"{literal_failures}/{count}")
 
 

@@ -3,6 +3,7 @@ import pickle
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields, replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +15,12 @@ from oracles import (
     pentagon_sides_split,
 )
 from spinnet import identities
-from spinnet.errors import IncompatibleRadicands, InvalidInstance, SpinnetError
+from spinnet.errors import (
+    IncompatibleRadicands,
+    InvalidInstance,
+    InvalidSpin,
+    SpinnetError,
+)
 from spinnet.exactnum import ZERO_TRIPLE, Spin, SqrtRational, _sum
 from spinnet.identities import (
     BE_SYMBOL_NAMES,
@@ -459,6 +465,52 @@ class TestBEInstanceTwiceTuple:
             BEInstance.from_twice(t)
         assert err.value.triads == tuple(bad)
 
+    def test_every_tuple_up_to_twice_2_matches_the_constructor(self):
+        # from_twice reuses shared Spin objects; on each of the 3**9
+        # tuples it must still build what BEInstance(*map(Spin, t))
+        # builds, or fail the same way
+        valid = 0
+        for t in product(range(3), repeat=9):
+            try:
+                direct = BEInstance(*map(Spin, t))
+            except InvalidInstance as expected:
+                with pytest.raises(InvalidInstance) as err:
+                    BEInstance.from_twice(t)
+                assert str(err.value) == str(expected)
+                assert err.value.triads == expected.triads
+                continue
+            inst = BEInstance.from_twice(t)
+            assert [getattr(inst, f.name) for f in fields(inst)] == \
+                [getattr(direct, f.name) for f in fields(direct)]
+            assert inst == direct and hash(inst) == hash(direct)
+            assert repr(inst) == repr(direct)
+            assert inst.twice_tuple() == direct.twice_tuple() == t
+            again = pickle.loads(pickle.dumps(inst))
+            assert again == inst and again.twice_tuple() == t
+            valid += 1
+        assert valid == 205
+
+    def test_small_spins_are_shared_and_large_ones_built(self):
+        one, other = BEInstance.from_twice((2,) * 9), \
+            BEInstance.from_twice((2,) * 9)
+        assert one.a is other.a is one.r
+        big = BEInstance.from_twice((64,) * 9)
+        assert big.a == Spin(64) and big.a is not big.b
+
+    @pytest.mark.parametrize("bad", [True, -1, 2.0], ids=repr)
+    def test_non_spin_entries_still_raise(self, bad):
+        # True == 1 and 2.0 == 2: neither may reach a shared Spin(1) or
+        # Spin(2), which the first call below has just used
+        assert BEInstance.from_twice((0, 1, 1, 0, 2, 3, 0, 2, 2)).b == Spin(1)
+        with pytest.raises(InvalidSpin) as expected:
+            Spin(bad)
+        for slot in range(9):
+            t = list((2,) * 9)
+            t[slot] = bad
+            with pytest.raises(InvalidSpin) as err:
+                BEInstance.from_twice(tuple(t))
+            assert str(err.value) == str(expected.value)
+
     # for each x-free triad, a twice tuple on which it alone fails
     ONE_TRIAD_BROKEN = {
         ("a", "d", "p"): (2, 0, 0, 0, 1, 1, 0, 1, 1),
@@ -516,6 +568,44 @@ class TestBEGridChecks:
     def test_unknown_move_raises_at_the_call(self):
         with pytest.raises(SpinnetError, match="unknown verification grid"):
             iter_be_grid_checks(2, "foo")
+
+
+class TestEqualSidesShareOneValue:
+    """Pentagon and 2-3 results hold one value when the sides are equal."""
+
+    ROUND_TRIPS = TestCopyAndPickle.ROUND_TRIPS
+
+    def test_instance_checks(self):
+        inst = BEInstance.from_twice((2,) * 9)
+        for check in (be_check, pachner_23_check):
+            res = check(inst)
+            assert res.equal and res.lhs is res.rhs
+            for round_trip in self.ROUND_TRIPS:
+                again = round_trip(res)
+                assert again == res and again.lhs == again.rhs
+
+    @pytest.mark.parametrize("move", ["be", "pachner-23"])
+    def test_grid_records_match_two_values(self, move):
+        for t, res in iter_be_grid_checks(3, move):
+            assert res.equal and res.lhs is res.rhs, t
+            lhs, rhs = identities._be_sides(t, literal_form=False)
+            two = identities._result(lhs, rhs, res.form)
+            assert res == two
+            assert res.to_json_dict() == two.to_json_dict()
+
+    def test_literal_form_failures_keep_two_values(self):
+        failures = 0
+        for t, res in iter_be_grid_checks(4, "be", literal_form=True):
+            if res.equal:
+                assert res.lhs is res.rhs, t
+                continue
+            assert res.equal is False, t
+            assert res.lhs is not res.rhs and res.lhs != res.rhs, t
+            failures += 1
+            if failures == 1:
+                for round_trip in self.ROUND_TRIPS:
+                    assert round_trip(res) == res
+        assert failures > 0
 
 
 class TestPentagonSymbolLookups:

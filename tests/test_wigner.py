@@ -99,6 +99,11 @@ class TestSixJValue:
         assert v == SqrtRational(Fraction(1, 6))
         assert v == sixj_via_threej((2,) * 6)
 
+    @pytest.mark.parametrize("t", [(24,) * 6, (24, 20, 22, 18, 26, 24)])
+    def test_threej_oracle_at_twice_24(self, t):
+        # the independent 3j contraction, well above criterion 10's grid
+        assert sixj_value_twice(t) == sixj_via_threej(t)
+
     def test_one_zero_entry_closed_form(self):
         # {a b c; 0 c b} for (a, b, c) = (1, 1, 1)
         v = sixj_value(_sq((2, 2, 2, 0, 2, 2)))
