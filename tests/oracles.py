@@ -104,16 +104,19 @@ def sixj_via_threej(t6) -> SqrtRational:
     The phase runs over all six pairs; as m1+m2+m3 = 0 the first triad
     contributes the constant (-1)^(j1+j2+j3).
 
-    Independent of the single-sum production path.
+    Independent of the single-sum production path.  Each distinct 3j
+    symbol is computed once per call: the m sums ask for most of them
+    many times.
     """
     tj1, tj2, tj3, tj4, tj5, tj6 = t6
+    threej_once = lru_cache(maxsize=None)(threej)
     total = SqrtRational.zero()
     for tm1 in _projections(tj1):
         for tm2 in _projections(tj2):
             tm3 = -tm1 - tm2
             if abs(tm3) > tj3:
                 continue
-            first = threej(tj1, tj2, tj3, -tm1, -tm2, -tm3)
+            first = threej_once(tj1, tj2, tj3, -tm1, -tm2, -tm3)
             if first.is_zero():
                 continue
             for tm6 in _projections(tj6):
@@ -122,9 +125,9 @@ def sixj_via_threej(t6) -> SqrtRational:
                 if abs(tm5) > tj5 or abs(tm4) > tj4:
                     continue
                 term = (first
-                        * threej(tj1, tj5, tj6, tm1, -tm5, tm6)
-                        * threej(tj4, tj2, tj6, tm4, tm2, -tm6)
-                        * threej(tj4, tj5, tj3, -tm4, tm5, tm3))
+                        * threej_once(tj1, tj5, tj6, tm1, -tm5, tm6)
+                        * threej_once(tj4, tj2, tj6, tm4, tm2, -tm6)
+                        * threej_once(tj4, tj5, tj3, -tm4, tm5, tm3))
                 if term.is_zero():
                     continue
                 sign = phase_from_twice(

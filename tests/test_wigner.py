@@ -99,8 +99,9 @@ class TestSixJValue:
         assert v == SqrtRational(Fraction(1, 6))
         assert v == sixj_via_threej((2,) * 6)
 
-    @pytest.mark.parametrize("t", [(24,) * 6, (24, 20, 22, 18, 26, 24)])
-    def test_threej_oracle_at_twice_24(self, t):
+    @pytest.mark.parametrize("t", [(24,) * 6, (24, 20, 22, 18, 26, 24),
+                                   (40,) * 6])
+    def test_threej_oracle_at_twice_24_to_40(self, t):
         # the independent 3j contraction, well above criterion 10's grid
         assert sixj_value_twice(t) == sixj_via_threej(t)
 
