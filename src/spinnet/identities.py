@@ -90,9 +90,10 @@ assert len(ALL_TRIADS) == 10 and len(X_FREE_TRIADS) == 7
 _X_FREE_SLOTS = tuple((names, *map(BE_SYMBOL_NAMES.index, names))
                       for names in X_FREE_TRIADS)
 
-# one shared Spin for each small twice-value, as grid instances use
-_SHARED_TWICE = range(64)
-_SPINS = tuple(map(Spin, _SHARED_TWICE))
+# one shared Spin for each twice-value below 64; the bound covers the
+# pentagon grids the benchmark builds (entries <= 5) with room to spare,
+# not a measured library caller
+_SPINS = tuple(map(Spin, range(64)))
 
 
 @dataclass(frozen=True)
@@ -113,11 +114,8 @@ class BEInstance:
         t = (self.a.twice, self.b.twice, self.c.twice, self.d.twice,
              self.e.twice, self.f.twice, self.p.twice, self.q.twice,
              self.r.twice)
-        # a triad couples when its perimeter is even and the triangle
-        # inequalities hold
         bad = [names for names, i, j, k in _X_FREE_SLOTS
-               for u, v, w in ((t[i], t[j], t[k]),)
-               if (u + v + w) % 2 or not abs(u - v) <= w <= u + v]
+               if not triad_valid_twice(t[i], t[j], t[k])]
         if bad:
             raise InvalidInstance(
                 "invalid fixed triads: "
@@ -135,7 +133,7 @@ class BEInstance:
         entry, bool and negative int included, goes through Spin(v) and
         is accepted or rejected exactly as there.
         """
-        return cls(*[_SPINS[v] if type(v) is int and v in _SHARED_TWICE
+        return cls(*[_SPINS[v] if type(v) is int and 0 <= v < len(_SPINS)
                      else Spin(v) for v in t])
 
     def twice_tuple(self) -> tuple[int, ...]:
@@ -230,10 +228,6 @@ def _pentagon_result(t, move: str, literal_form: bool) -> ExactCheckResult:
     lhs, rhs = _be_sides(t, literal_form)
     if literal_form:
         form += "-unweighted"
-    if lhs == rhs:
-        # canonical triples: one immutable value serves both sides
-        value = SqrtRational._from_triple(*lhs)
-        return ExactCheckResult(value, value, True, form)
     return _result(lhs, rhs, form)
 
 

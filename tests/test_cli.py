@@ -597,7 +597,7 @@ GOLDEN = [
     (("verify-pachner", "--move", "14", "--all", "--max-twice", "3",
       "--format", "json", "--sorted"), 0,
      "69f5b56ede215d4bf128f4c04af96b3ff56ba41b31210cbd8eb46311dd5b4f59"),
-    # recorded before equal pentagon and 2-3 sides shared one value
+    # the pentagon and 2-3 grids at twice <= 4
     (("verify-be", "--all", "--max-twice", "4", "--format", "json"), 0,
      "508d8632f3550018e60b9437636fbd1a7f8702a7f29950f6854f0891665d1dad"),
     (("verify-pachner", "--move", "23", "--all", "--max-twice", "4",

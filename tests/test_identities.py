@@ -570,44 +570,6 @@ class TestBEGridChecks:
             iter_be_grid_checks(2, "foo")
 
 
-class TestEqualSidesShareOneValue:
-    """Pentagon and 2-3 results hold one value when the sides are equal."""
-
-    ROUND_TRIPS = TestCopyAndPickle.ROUND_TRIPS
-
-    def test_instance_checks(self):
-        inst = BEInstance.from_twice((2,) * 9)
-        for check in (be_check, pachner_23_check):
-            res = check(inst)
-            assert res.equal and res.lhs is res.rhs
-            for round_trip in self.ROUND_TRIPS:
-                again = round_trip(res)
-                assert again == res and again.lhs == again.rhs
-
-    @pytest.mark.parametrize("move", ["be", "pachner-23"])
-    def test_grid_records_match_two_values(self, move):
-        for t, res in iter_be_grid_checks(3, move):
-            assert res.equal and res.lhs is res.rhs, t
-            lhs, rhs = identities._be_sides(t, literal_form=False)
-            two = identities._result(lhs, rhs, res.form)
-            assert res == two
-            assert res.to_json_dict() == two.to_json_dict()
-
-    def test_literal_form_failures_keep_two_values(self):
-        failures = 0
-        for t, res in iter_be_grid_checks(4, "be", literal_form=True):
-            if res.equal:
-                assert res.lhs is res.rhs, t
-                continue
-            assert res.equal is False, t
-            assert res.lhs is not res.rhs and res.lhs != res.rhs, t
-            failures += 1
-            if failures == 1:
-                for round_trip in self.ROUND_TRIPS:
-                    assert round_trip(res) == res
-        assert failures > 0
-
-
 class TestPentagonSymbolLookups:
     def test_be_sides_reads_the_five_symbols_slot_for_slot(
             self, monkeypatch):
