@@ -23,12 +23,17 @@ the triads, serves the *_sides_split sums.
 label_desargues_by_triads is the former label_desargues: a dict of the
 ten spins, then one triad_valid_twice call per point triad, as the
 reference for the slot-table check of spinnet.labeling.
+racah_sum and schulten_gordon_residual check kernel values at spins the
+3j contraction cannot reach: the Racah z-sum S is read back from a value
+and the exact triangle coefficients, and three values along an x-column
+must satisfy the Schulten-Gordon three-term recurrence, which relates
+three different symmetry orbits and owes nothing to the single sum.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from spinnet.exactnum import SqrtRational, factorial, phase_from_twice
 from spinnet.errors import (IncompatibleRadicands, MissingSymbol,
@@ -43,7 +48,8 @@ __all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum",
            "split_mul", "split_add", "orthogonality_sides_split",
            "pentagon_sides_split", "pachner_14_sides_split",
            "legendre_triangle_sqrt", "legendre_factorial_exponents",
-           "label_desargues_by_triads"]
+           "label_desargues_by_triads", "racah_sum",
+           "schulten_gordon_residual"]
 
 
 def _triangle_sq(tj1, tj2, tj3) -> Fraction:
@@ -392,3 +398,50 @@ def label_desargues_by_triads(spins):
             + ", ".join(v[0] for v in violations), violations)
     line_spins = {l: symbol_spins[s] for l, s in LINE_SYMBOLS}
     return DesarguesSpinLabeling(DESARGUES, line_spins, symbol_spins)
+
+
+def racah_sum(t6, triple) -> Fraction:
+    """The Racah z-sum S of {a b x; c d y}, read back from its value.
+
+    triple is (num, den, rad), the value (num/den)*sqrt(rad) =
+    D(abx) D(bcy) D(cdx) D(ady) S with D the triangle coefficients, so
+    S^2 = value^2 / prod D^2.  S is rational: ValueError when S^2 is not
+    the square of a rational, as when the triangle part of the value is
+    wrong.
+    """
+    ta, tb, tx, tc, td, ty = t6
+    num, den, rad = triple
+    tri = (_triangle_sq(ta, tb, tx) * _triangle_sq(tb, tc, ty)
+           * _triangle_sq(tc, td, tx) * _triangle_sq(ta, td, ty))
+    square = Fraction(num * num * rad, den * den) / tri
+    top, bottom = isqrt(square.numerator), isqrt(square.denominator)
+    if top * top != square.numerator or bottom * bottom != square.denominator:
+        raise ValueError(f"S^2 of {t6} is not a rational square")
+    return Fraction(-top if num < 0 else top, bottom)
+
+
+def schulten_gordon_residual(t6, s_below, s_at, s_above) -> Fraction:
+    """x P1(x) S(x+1) + F(x) S(x) + (x+1) P2(x-1) S(x-1) on {a b x; c d y}.
+
+    s_below, s_at and s_above are the Racah sums at x - 1, x and x + 1;
+    the residual is zero exactly when all three are right.  With spins
+    a..y and C(j) = j(j+1) (Schulten & Gordon, J. Math. Phys. 16 (1975)
+    1961, written for S, whose column ratios of triangle coefficients
+    are absorbed into P1 and P2):
+    P1(x) = (x+1-a+b)(x+1+a-b)(x+1-c+d)(x+1+c-d),
+    P2(x) = (a+b-x)(a+b+x+2)(c+d-x)(c+d+x+2),
+    F(x) = (2x+1)(C(x)[-C(x)+C(a)+C(b)-2C(y)] + C(d)[C(x)-C(a)+C(b)]
+           + C(c)[C(x)+C(a)-C(b)]).
+    """
+    a, b, x, c, d, y = (Fraction(t, 2) for t in t6)
+
+    def cas(j):
+        return j * (j + 1)
+
+    p1 = (x + 1 - a + b) * (x + 1 + a - b) * (x + 1 - c + d) * (x + 1 + c - d)
+    p2 = (a + b - x + 1) * (a + b + x + 1) * (c + d - x + 1) * (c + d + x + 1)
+    f = (2 * x + 1) * (
+        cas(x) * (-cas(x) + cas(a) + cas(b) - 2 * cas(y))
+        + cas(d) * (cas(x) - cas(a) + cas(b))
+        + cas(c) * (cas(x) + cas(a) - cas(b)))
+    return x * p1 * s_above + f * s_at + (x + 1) * p2 * s_below

@@ -1,0 +1,101 @@
+"""What `import spinnet` loads: no submodule until a name is used, and
+then only the submodules that name needs.  Each check runs in a fresh
+interpreter, so no import made earlier in the test session hides a load.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the package's exports as the eager __init__ listed them
+EXPORTS = [
+    "BEInstance", "CanonicalQuadruple", "ConfigurationSignature",
+    "DesarguesSpinLabeling", "ExactCheckResult", "IncidenceStructure",
+    "RegularizationReport", "SimplexSpinLabeling", "SimplicialComplex4",
+    "SixJ", "SixJSymmetryElement", "Spin", "SqrtRational", "be_check",
+    "build_desargues", "build_quadrangle", "canonicalize_quadruple",
+    "classical_group", "cross_section", "errors", "factorial", "isomorphic",
+    "iter_regularized_enumeration", "kernel_backend", "label_desargues",
+    "network_amplitude", "orthogonality_check", "pachner_14_check",
+    "pachner_23_check", "phase_from_twice", "plane_dual", "regge_transform",
+    "regularization_bounds", "regularized_enumeration", "running_range",
+    "sixj_value", "space_dual_desargues", "symmetry_group", "symmetry_orbit",
+    "transfer_labeling", "validate_configuration",
+]
+
+
+def run(*parts: str):
+    """Run the code parts in a fresh interpreter; the JSON it prints last."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "\n".join(map(textwrap.dedent, parts))
+    res = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+LOADED = """
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("spinnet."))))
+"""
+
+
+def test_import_loads_no_submodule():
+    assert run("import json, sys, spinnet", LOADED) == []
+
+
+def test_a_6j_value_loads_four_submodules():
+    assert run("""
+        import json, sys, spinnet
+        spinnet.sixj_value(spinnet.SixJ.from_twice((2,) * 6))
+        """, LOADED) == ["spinnet.errors", "spinnet.exactnum",
+                          "spinnet.kernel", "spinnet.wigner"]
+
+
+def test_each_export_is_its_submodules_object():
+    # the package attribute is read first, so each name takes the lazy path
+    assert run("""
+        import importlib, json, spinnet
+        wrong = []
+        for name in spinnet.__all__:
+            value = getattr(spinnet, name)
+            module, _, attr = spinnet._EXPORTS[name].partition(".")
+            home = importlib.import_module("spinnet." + module)
+            if value is not (home if name == module
+                             else getattr(home, attr or name)):
+                wrong.append(name)
+            elif name not in vars(spinnet):
+                wrong.append(name + " (not cached)")
+        print(json.dumps([spinnet.__all__, wrong]))
+        """) == [EXPORTS, []]
+
+
+def test_star_import_and_dir():
+    assert run("""
+        import json, spinnet
+        namespace = {}
+        exec("from spinnet import *", namespace)
+        print(json.dumps([sorted(set(spinnet.__all__) - set(namespace)),
+                          sorted(set(spinnet.__all__) - set(dir(spinnet)))]))
+        """) == [[], []]
+
+
+def test_an_unknown_name_raises_attribute_error():
+    assert run("""
+        import json, spinnet
+        try:
+            spinnet.no_such_name
+        except AttributeError as exc:
+            print(json.dumps(str(exc)))
+        """) == "module 'spinnet' has no attribute 'no_such_name'"
+
+
+def test_the_cli_loads_what_it_imports():
+    loaded = run("import json, sys, spinnet.cli", LOADED)
+    assert {"spinnet.identities", "spinnet.wigner", "spinnet.kernel",
+            "spinnet.exactnum"} <= set(loaded)

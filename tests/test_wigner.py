@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from oracles import (
     horner_sixj_raw,
     legendre_triangle_sqrt,
+    racah_sum,
+    schulten_gordon_residual,
     sixj_direct_sum,
     sixj_one_zero,
     sixj_or_zero_twice,
@@ -29,7 +31,7 @@ from spinnet.wigner import (
     sixj_value_twice,
     triad_valid_twice,
 )
-from spinnet.symmetry import symmetry_orbit
+from spinnet.symmetry import symmetry_group, symmetry_orbit
 
 
 def iter_valid_sixj(max_twice):
@@ -398,6 +400,116 @@ class TestThinAboveTheMemo:
         for t in (below, at):
             assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
         assert ran == [at]
+
+
+def _column_residual(t, image=None):
+    # the Schulten-Gordon residual at x of the column through t, from the
+    # kernel's values at x - 1, x and x + 1, each read through image
+    ta, tb, tx, tc, td, ty = t
+    sums = []
+    for v in (tx - 2, tx, tx + 2):
+        s = (ta, tb, v, tc, td, ty)
+        sums.append(racah_sum(s, kernel.sixj_raw(*(image or tuple)(s))))
+    return schulten_gordon_residual(t, *sums)
+
+
+def _interior(t):
+    # t with x - 1 and x + 1 also on its column
+    xs = admissible_x_twice(t[0], t[1], t[3], t[4])
+    return t[2] in xs[1:-1]
+
+
+class TestSchultenGordonOracle:
+    """Kernel values on three orbits, at x - 1, x and x + 1 of a column,
+    satisfy the three-term recurrence exactly: an oracle independent of
+    the Racah sum, at spins the 3j contraction cannot reach.  Each value
+    must first give back a rational Racah sum."""
+
+    def test_every_interior_point_to_twice_6(self):
+        count = 0
+        for t in iter_valid_sixj(6):
+            if _interior(t) and t[2] + 2 <= 6:
+                assert _column_residual(t) == 0, t
+                count += 1
+        assert count == 533
+
+    def test_a_wrong_value_fails(self):
+        # a wrong radicand leaves no rational Racah sum; a wrong sign or
+        # scale on one value of the three breaks the recurrence
+        t = (400, 400, 200, 400, 400, 400)
+        num, den, rad = kernel.sixj_raw(*t)
+        with pytest.raises(ValueError):
+            racah_sum(t, (num, den, 2 * rad))
+        below, at, above = (racah_sum(s, kernel.sixj_raw(*s)) for s in (
+            (400, 400, 198, 400, 400, 400), t, (400, 400, 202, 400, 400, 400)))
+        assert at != 0
+        assert schulten_gordon_residual(t, below, at, above) == 0
+        assert schulten_gordon_residual(t, below, -at, above) != 0
+        assert schulten_gordon_residual(t, below, 2 * at, above) != 0
+
+    @pytest.mark.parametrize("column", [(400, 400, 400, 400, 400),
+                                        (401, 401, 401, 401, 400)])
+    def test_across_the_split_switch(self, column, monkeypatch):
+        # on these columns x has min(x, 2j - x) ratio steps, so the centres
+        # below put one or two of their three symbols on each path
+        large = kernel._sixj_large
+        ran = []
+        monkeypatch.setattr(kernel, "_sixj_large",
+                            lambda *t: ran.append(t) or large(*t))
+        ta, tb, tc, td, ty = column
+        for tx in (2 * kernel._SPLIT_STEPS - 2, 2 * kernel._SPLIT_STEPS):
+            t = (ta, tb, tx, tc, td, ty)
+            ran.clear()
+            assert _column_residual(t) == 0, t
+            steps = [_steps((ta, tb, v, tc, td, ty))
+                     for v in (tx - 2, tx, tx + 2)]
+            assert min(steps) < kernel._SPLIT_STEPS <= max(steps)
+            assert 0 < len(ran) < 3
+
+    @pytest.mark.parametrize("t", [(9998, 9998, 2, 9998, 9998, 0),
+                                   (9997, 9997, 4, 9997, 9997, 0)])
+    def test_across_the_memo_switch(self, t, monkeypatch):
+        # no ratio steps; zmin + 1 is 9999, 10000 and 10001 along x, so
+        # only the first symbol takes the Horner path
+        large = kernel._sixj_large
+        ran = []
+        monkeypatch.setattr(kernel, "_sixj_large",
+                            lambda *t: ran.append(t) or large(*t))
+        assert exactnum._FACTORIAL_MEMO_SIZE == 10_000
+        assert _column_residual(t) == 0
+        assert len(ran) == 2
+
+    def test_seeded_columns_200_to_1200(self):
+        # near-regular and skewed symbols at the sizes of the sixj_cold
+        # benchmark; each column is checked directly and again through a
+        # Regge image of each of its symbols, whose triads differ but whose
+        # value must not
+        rng = random.Random(1975)
+        regge = [e for e in symmetry_group() if e.regge_component]
+        symbols = []
+        for _ in range(16):
+            twice = round(200 * 6 ** rng.random())
+            t = _near_regular(rng, twice, 1)[0]
+            while not _interior(t):
+                t = _near_regular(rng, twice, 1)[0]
+            symbols.append(t)
+            ta, tb, _, tc, td, ty = _skewed(rng, twice)
+            xs = admissible_x_twice(ta, tb, tc, td)
+            if len(xs) > 2:
+                symbols.append((ta, tb, rng.choice(xs[1:-1]), tc, td, ty))
+        assert sum(_steps(t) >= kernel._SPLIT_STEPS for t in symbols) >= 8
+        for t in symbols:
+            assert _column_residual(t) == 0, t
+            assert _column_residual(t, rng.choice(regge).apply_twice) == 0, t
+
+    def test_near_regular_columns_at_twice_4000(self):
+        # the size limit of the CLI, about 2000 ratio steps
+        rng = random.Random(4000)
+        regge = [e for e in symmetry_group() if e.regge_component]
+        for t in [(4000,) * 6] + _near_regular(rng, 4000, 2):
+            assert _interior(t), t
+            assert _column_residual(t) == 0, t
+            assert _column_residual(t, rng.choice(regge).apply_twice) == 0, t
 
 
 def _clear_spinnet_caches():
