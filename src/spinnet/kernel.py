@@ -20,17 +20,22 @@ radicand.  Their product is one over an integer D, read off the packed
 prime-exponent vectors of factorials that exactnum memoizes: sixteen
 big-int additions give D's vector, decoded once, with no prime sieve
 per call and no per-prime loop over the factorials.  Small symbols
-multiply the z-sum's factorial prefactor out of the factorial memo; the
-large path reads the prefactor's exponents off the same vectors, in the
-same pass over primes as D's, builds its numerator and denominator
-prime powers with balanced products, and reduces by one gcd.  Both
-paths return the same triple.
+multiply the z-sum's factorial prefactor out of the factorial memo.  The
+large path keeps the prefactor as a packed exponent vector too, and
+splits it by masks into its numerator's and its denominator's exponents,
+as in the prime-factorized factorials of Johansson & Forssén (SIAM J.
+Sci. Comput. 38, 2016).  Every term of the z-sum is an integer, so the
+prefactor's denominator divides the sum exactly; what is left against
+D is a small exponent vector, reduced by one small gcd.  Each prime-power
+product is read off bit planes of its vector, squaring from the high bit
+down, with no loop per prime.  Both paths return the same triple.
 """
 
 import sys
 from array import array
 from bisect import bisect_right
-from math import gcd
+from itertools import compress
+from math import gcd, prod
 
 from .exactnum import (_FACTORIAL_MEMO_SIZE, ZERO_TRIPLE, _reduce, factorial,
                        factorial_exponents, factorial_primes)
@@ -128,34 +133,69 @@ def _sixj_large(ta, tb, tx, tc, td, ty):
     # and e in D, and p joins the radicand when e is odd
     top = zmin + 1
     primes = factorial_primes(top)
-    nbytes = 2 * bisect_right(primes, top)
+    count = bisect_right(primes, top)
+    # 1 in every field; a multiple of it fills every field alike
+    ones = int.from_bytes((1).to_bytes(2, sys.byteorder) * count,
+                          sys.byteorder)
     fe = factorial_exponents
     f_vec = (fe(top) - fe(zmax - a[0]) - fe(zmax - a[1]) - fe(zmax - a[2])
              - fe(zmax - a[3]) - fe(b[0] - zmin) - fe(b[1] - zmin)
-             - fe(b[2] - zmin)
-             + int.from_bytes(_BIAS.to_bytes(2, sys.byteorder)
-                              * (nbytes // 2), sys.byteorder))
+             - fe(b[2] - zmin) + _BIAS * ones)
+    # f <= 253, so a field holds f >= 0 exactly when its top byte is 0xFF,
+    # and then its low byte is f; fneg holds -f where f < 0
+    pos = ((((f_vec >> 8) & (0xFF * ones)) + ones) >> 8) & ones
+    neg = ones - pos
+    fpos = f_vec & (0xFF * pos)
+    fneg = _BIAS * neg - (f_vec & (0xFFFF * neg))
     # D's vector as in _triangle_sqrt, whose bound keeps every field small
     d_vec = 0
     for t1, t2, t3 in ((ta, tb, tx), (ta, td, ty),
                        (tc, tb, ty), (tc, td, tx)):
         h = (t1 + t2 + t3) // 2
         d_vec += fe(h + 1) - fe(h - t1) - fe(h - t2) - fe(h - t3)
-    ups, downs, rad = [], [], 1
-    for p, f, e in zip(primes,
-                       array("H", f_vec.to_bytes(nbytes, sys.byteorder)),
-                       array("H", d_vec.to_bytes(nbytes, sys.byteorder))):
-        k = f - _BIAS - ((e + 1) >> 1)
-        if e & 1:
-            rad *= p
-        if k > 0:
-            ups.append(p ** k)
-        elif k < 0:
-            downs.append(p ** -k)
-    down = _balanced_product(downs)
-    g = gcd(n, down)
-    num = n // g * _balanced_product(ups)
-    return (-num if zmin % 2 else num), down // g, rad
+    # n F = sum_z c_z with every term c_z = (z+1)!/(prod_i (z-a_i)!
+    # prod_j (b_j-z)!) an integer, its seven arguments summing to z; F's
+    # denominator A = prod p^fneg is prime to its numerator, so A divides
+    # n, and the value is (-1)^zmin (n/A) sqrt(rad) over prod p^k with
+    # k = ceil(e/2) - fpos, both terms below 2**9 by the bounds of
+    # _triangle_sqrt and _BIAS.  Biased by 0x8000, a field of k has bit
+    # 15 set exactly where k >= 0: those fields give the denominator, the
+    # others the numerator's factor prod p^-k.  rad is the primes with e
+    # odd
+    quotient = n // _prime_powers(primes, fneg, ones)
+    net = ((((d_vec + ones) >> 1) & (0x7FFF * ones)) + 0x8000 * ones
+           - fpos)
+    down = (net >> 15) & ones
+    up = ones - down
+    den = _prime_powers(primes, net & (0x7FFF * down), ones)
+    g = gcd(quotient, den)
+    num = quotient // g * _prime_powers(
+        primes, 0x8000 * up - (net & (0xFFFF * up)), ones)
+    rad = _plane_product(primes, d_vec & ones)
+    return (-num if zmin % 2 else num), den // g, rad
+
+
+def _prime_powers(primes, vec, ones):
+    """prod p**v_p over the 16-bit fields v_p of the packed vector vec.
+
+    Reads bit planes from the high bit down, acc = acc**2 times the
+    product of the primes whose field has the bit set, so every prime
+    power is built by squaring and no loop runs per prime.
+    """
+    acc = 1
+    for bit in range(15, -1, -1):
+        acc *= acc
+        plane = (vec >> bit) & ones
+        if plane:
+            acc *= _plane_product(primes, plane)
+    return acc
+
+
+def _plane_product(primes, plane):
+    """The product of the primes whose field in plane, a 0/1 vector, is 1."""
+    # the fields up to the last 1 only
+    return prod(compress(primes, array("H", plane.to_bytes(
+        (plane.bit_length() + 15) >> 4 << 1, sys.byteorder))))
 
 
 def _zsum(zmin, zmax, a, b):
@@ -190,16 +230,6 @@ def _zsum(zmin, zmax, a, b):
     p1, q1, t1 = split(zmin, mid)
     _, q2, t2 = split(mid, zmax)
     return (q1 + t1) * q2 + p1 * t2
-
-
-def _balanced_product(factors):
-    """prod(factors), multiplied pairwise so that operands stay balanced."""
-    while len(factors) > 1:
-        paired = [x * y for x, y in zip(factors[::2], factors[1::2])]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    return factors[0] if factors else 1
 
 
 def _triangle_sqrt(triads):

@@ -18,6 +18,14 @@ Horner z-sum and the multiplied-out factorial prefactor, with the
 triangle coefficients by Legendre's formula: the exact reference for
 the kernel's large path (binary splitting and a packed prefactor),
 whose triples must equal it.
+gcd_prefactor_triple is the large path's former prefactor step: from the
+kernel's z-sum n it reads the prefactor's and the triangle part's
+exponents off the packed factorial vectors one prime at a time, builds
+the numerator and denominator prime powers with balanced products and
+reduces by gcd(n, denominator), as the old-path reference for the bit
+planes and exact division of spinnet.kernel._sixj_large.
+legendre_prefactor_denominator gives the denominator of that prefactor
+by Legendre's formula.
 sixj_or_zero_twice, the former library helper returning exact zero off
 the triads, serves the *_sides_split sums.
 label_desargues_by_triads is the former label_desargues: a dict of the
@@ -30,12 +38,16 @@ must satisfy the Schulten-Gordon three-term recurrence, which relates
 three different symmetry orbits and owes nothing to the single sum.
 """
 
+import sys
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from spinnet.exactnum import SqrtRational, factorial, phase_from_twice
+from spinnet.exactnum import (SqrtRational, factorial, factorial_exponents,
+                              factorial_primes, phase_from_twice)
 from spinnet.errors import (IncompatibleRadicands, MissingSymbol,
                             PhaseParityError, TriadViolation)
 from spinnet.labeling import (DESARGUES, LINE_SYMBOLS, POINT_TRIADS, SYMBOLS,
@@ -44,7 +56,8 @@ from spinnet.wigner import (invalid_triads_twice, sixj_value_twice,
                             triad_valid_twice)
 
 __all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum",
-           "horner_sixj_raw", "sixj_or_zero_twice",
+           "horner_sixj_raw", "gcd_prefactor_triple",
+           "legendre_prefactor_denominator", "sixj_or_zero_twice",
            "split_mul", "split_add", "orthogonality_sides_split",
            "pentagon_sides_split", "pachner_14_sides_split",
            "legendre_triangle_sqrt", "legendre_factorial_exponents",
@@ -226,6 +239,90 @@ def horner_sixj_raw(ta, tb, tx, tc, td, ty):
         den *= p ** ((e + 1) // 2)
     g = gcd(num, den)
     return num // g, den // g, rad
+
+
+def _prefactor_args(t6):
+    # zmin, and the arguments of the z-sum's prefactor
+    # F = (zmin+1)!/(prod_i (zmax-a_i)! prod_j (b_j-zmin)!): zmin + 1,
+    # then the seven of its denominator
+    ta, tb, tx, tc, td, ty = t6
+    a = ((ta + tb + tx) // 2, (ta + td + ty) // 2,
+         (tc + tb + ty) // 2, (tc + td + tx) // 2)
+    b = ((ta + tb + tc + td) // 2, (tb + tx + td + ty) // 2,
+         (tx + ta + ty + tc) // 2)
+    zmin, zmax = max(a), min(b)
+    return zmin, (zmin + 1, *(zmax - x for x in a), *(x - zmin for x in b))
+
+
+def _balanced_product(factors):
+    # prod(factors), multiplied pairwise so that operands stay balanced
+    while len(factors) > 1:
+        paired = [x * y for x, y in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
+
+
+# the former large path's bias of the prefactor's 16-bit fields
+_GCD_PATH_BIAS = 0xFF00
+
+
+def gcd_prefactor_triple(t6, n):
+    """The large path's former (num, den, rad) of t6 from its z-sum n.
+
+    The value is (-1)^zmin F n sqrt(1/D), F the z-sum's factorial
+    prefactor and D the product of the four triangle denominators.  p's
+    exponent f in F and e in D are read off packed factorial vectors,
+    one prime at a time; the powers p^(f - ceil(e/2)) go to a numerator
+    or a denominator, each multiplied in a balanced tree, and the
+    denominator is cancelled against n by one gcd.
+    """
+    ta, tb, tx, tc, td, ty = t6
+    if n == 0:
+        return 0, 1, 1
+    zmin, (top, *args) = _prefactor_args(t6)
+    primes = factorial_primes(top)
+    nbytes = 2 * bisect_right(primes, top)
+    fe = factorial_exponents
+    f_vec = (fe(top) - sum(fe(m) for m in args)
+             + int.from_bytes(_GCD_PATH_BIAS.to_bytes(2, sys.byteorder)
+                              * (nbytes // 2), sys.byteorder))
+    d_vec = 0
+    for t1, t2, t3 in ((ta, tb, tx), (ta, td, ty),
+                       (tc, tb, ty), (tc, td, tx)):
+        h = (t1 + t2 + t3) // 2
+        d_vec += fe(h + 1) - fe(h - t1) - fe(h - t2) - fe(h - t3)
+    ups, downs, rad = [], [], 1
+    for p, f, e in zip(primes,
+                       array("H", f_vec.to_bytes(nbytes, sys.byteorder)),
+                       array("H", d_vec.to_bytes(nbytes, sys.byteorder))):
+        k = f - _GCD_PATH_BIAS - ((e + 1) >> 1)
+        if e & 1:
+            rad *= p
+        if k > 0:
+            ups.append(p ** k)
+        elif k < 0:
+            downs.append(p ** -k)
+    down = _balanced_product(downs)
+    g = gcd(n, down)
+    num = n // g * _balanced_product(ups)
+    return (-num if zmin % 2 else num), down // g, rad
+
+
+def legendre_prefactor_denominator(t6):
+    """The denominator of the z-sum's prefactor F of t6, by Legendre.
+
+    prod p^-f over the primes whose exponent f in F is negative, F in
+    lowest terms.
+    """
+    _, (top, *args) = _prefactor_args(t6)
+    den = 1
+    for p in _primes_upto(top):
+        f = _legendre(top, p) - sum(_legendre(m, p) for m in args)
+        if f < 0:
+            den *= p ** -f
+    return den
 
 
 @lru_cache(maxsize=4096)

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    gcd_prefactor_triple,
     horner_sixj_raw,
+    legendre_prefactor_denominator,
     legendre_triangle_sqrt,
     racah_sum,
     schulten_gordon_residual,
@@ -236,11 +238,19 @@ class TestTriangleSqrt:
         self.assert_matches_legendre([t])
 
 
+def _racah_args(t):
+    # the four triad perimeters a_i and three four-spin sums b_j of t
+    ta, tb, tx, tc, td, ty = t
+    return (((ta + tb + tx) // 2, (ta + td + ty) // 2,
+             (tc + tb + ty) // 2, (tc + td + tx) // 2),
+            ((ta + tb + tc + td) // 2, (tb + tx + td + ty) // 2,
+             (tx + ta + ty + tc) // 2))
+
+
 def _steps(t):
     # zmax - zmin, the number of ratio steps of the z-sum
-    ta, tb, tx, tc, td, ty = t
-    return (min(ta + tb + tc + td, tb + tx + td + ty, tx + ta + ty + tc) // 2
-            - max(ta + tb + tx, ta + td + ty, tc + tb + ty, tc + td + tx) // 2)
+    a, b = _racah_args(t)
+    return min(b) - max(a)
 
 
 def _regular_with_steps(s):
@@ -338,8 +348,10 @@ class TestLargePath:
     def test_worst_case_prefactor_fields(self, monkeypatch):
         # The prefactor's exponent of 2 is the most negative field: about
         # -4 * steps.  At the largest step count the packed path admits it
-        # comes within 2**11 of -_BIAS and still decodes exactly; the
-        # z-sum is replaced by n = 1, so only the prefactor is checked.
+        # comes within 2**11 of -_BIAS and still decodes exactly.  The
+        # z-sum is replaced by the prefactor's denominator, the smallest n
+        # it divides, so the value is the prefactor's numerator over the
+        # triangle part, and only the prefactor is checked.
         from oracles import _legendre, _primes_upto
         steps = kernel._PACKED_STEPS - 1
         assert 4 * steps + 36 <= kernel._BIAS
@@ -348,7 +360,8 @@ class TestLargePath:
         zmin, zmax = 3 * steps, 4 * steps
         args = [steps] * 7     # zmax - a_i and b_j - zmin
         triads = _triads(t)
-        monkeypatch.setattr(kernel, "_zsum", lambda *_: 1)
+        monkeypatch.setattr(kernel, "_zsum", lambda *_:
+                            legendre_prefactor_denominator(t))
         ups, downs, rad = [], [], 1
         for p in _primes_upto(zmin + 1):
             f = _legendre(zmin + 1, p) - sum(_legendre(m, p) for m in args)
@@ -359,13 +372,58 @@ class TestLargePath:
                 n = (t1 + t2 + t3) // 2
                 e += _legendre(n + 1, p) - sum(
                     _legendre(n - g, p) for g in (t1, t2, t3))
-            k = f - (e + 1) // 2
+            k = max(f, 0) - (e + 1) // 2
             if e % 2:
                 rad *= p
             (ups if k > 0 else downs).append(p ** abs(k))
         assert zmin % 2 == 1
         assert kernel._sixj_large(*t) == (-_tree_product(ups),
                                           _tree_product(downs), rad)
+
+
+def _zsum(t):
+    # the large path's z-sum n of t
+    a, b = _racah_args(t)
+    return kernel._zsum(max(a), min(b), a, b)
+
+
+class TestPrefactorAgainstTheGcdPath:
+    """The large path's prefactor, bit planes and an exact division by its
+    denominator, against the former per-prime loop, balanced products and
+    gcd on the same z-sum: equal triples."""
+
+    @staticmethod
+    def assert_matches_gcd_path(symbols):
+        for t in symbols:
+            n = _zsum(t)
+            # the prefactor's denominator divides n exactly
+            assert n % legendre_prefactor_denominator(t) == 0, t
+            assert kernel._sixj_large(*t) == gcd_prefactor_triple(t, n), t
+
+    def test_seeded_symbols_200_to_4000(self):
+        rng = random.Random(1702)
+        symbols = []
+        for _ in range(10):
+            twice = round(200 * 20 ** rng.random())
+            symbols += _near_regular(rng, twice, 1)
+            symbols.append(_skewed(rng, twice))
+        symbols += _near_regular(rng, 4000, 1)
+        assert max(map(max, symbols)) >= 3800
+        self.assert_matches_gcd_path(symbols)
+
+    @pytest.mark.parametrize("steps", [99, 100, 101])
+    def test_across_the_split_switch(self, steps):
+        symbols = _regular_with_steps(steps)
+        assert {_steps(t) for t in symbols} == {steps}
+        self.assert_matches_gcd_path(symbols)
+
+    @pytest.mark.parametrize("twice", [9999, 10001, 12000])
+    def test_thin_past_the_memo(self, twice):
+        symbols = [t for s in (0, 1, 2, 99)
+                   for t in _thin_with_steps(twice, s)]
+        # zmin + 1 at or past the factorial memo's size
+        assert min(max(_racah_args(t)[0]) for t in symbols) + 1 >= 10_000
+        self.assert_matches_gcd_path(symbols)
 
 
 def _thin_with_steps(twice, s):
