@@ -42,11 +42,63 @@ class InvalidInstance(SpinnetError):
 
 
 class TriadViolation(SpinnetError):
-    """A spin labeling violates triads; carries the failing locations."""
+    """A spin labeling violates triads; carries the failing locations.
+
+    TriadViolation.deferred(report) raises cheaply where a rejection is
+    usually dropped: its message and violations are report(), called
+    when violations, args, str, repr or __reduce__ (pickle, copy) is
+    first read, and every such read returns what the eager
+    TriadViolation(message, violations) returns.
+    """
 
     def __init__(self, message, violations=()):
         super().__init__(message)
         self.violations = tuple(violations)
+
+    @classmethod
+    def deferred(cls, report):
+        """A TriadViolation whose (message, violations) is report()."""
+        exc = cls.__new__(cls)
+        exc._report = report
+        return exc
+
+    def _resolve(self):
+        # assign before dropping the pending report, so that a reader
+        # always finds one or the other; a second resolution is harmless
+        report = self.__dict__.get("_report")
+        if report is not None:
+            self.__init__(*report())
+            self.__dict__.pop("_report", None)
+
+    def __getattr__(self, name):
+        # normal lookup failed: a deferred exception's violations is
+        # built here, any other name stays missing
+        if name == "violations" and "_report" in self.__dict__:
+            self._resolve()
+            return self.violations
+        return object.__getattribute__(self, name)
+
+    @property
+    def args(self):
+        self._resolve()
+        return BaseException.args.__get__(self)
+
+    @args.setter
+    def args(self, value):
+        self._resolve()
+        BaseException.args.__set__(self, value)
+
+    def __str__(self):
+        self._resolve()
+        return super().__str__()
+
+    def __repr__(self):
+        self._resolve()
+        return super().__repr__()
+
+    def __reduce__(self):
+        self._resolve()
+        return super().__reduce__()
 
 
 class MissingSymbol(SpinnetError, KeyError):

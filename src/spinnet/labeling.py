@@ -17,15 +17,20 @@ the ten triads of the pentagon identity.
 
 The point triads are checked from a slot table built at import: each
 point's tag, its three symbols and their indices into SYMBOLS.  A
-labeling's ten spins are read once, in SYMBOLS order, and all ten
-triads are tested in one pass on their twice-values, with the parity
-and triangle arithmetic written inline rather than called per triad.
-transfer_labeling tests the ten face triads the same way.
+labeling's ten spins are read once, in SYMBOLS order, and the triads
+are tested in one pass on their twice-values, with the parity and
+triangle arithmetic written inline rather than called per triad.  The
+pass stops at the first failing point: most labelings fail, and most
+callers drop the rejection, so the TriadViolation's report of every
+failing point is built only when first read (_point_report).  An
+accepted labeling has passed all ten.  transfer_labeling tests the ten
+face triads in one pass and reports them eagerly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Mapping
 
@@ -76,6 +81,7 @@ POINT_TRIADS = tuple(
 # (point tag, its three symbols, their three indices into SYMBOLS)
 _POINT_SLOTS = tuple((tag, names, *map(SYMBOLS.index, names))
                      for tag, names in POINT_TRIADS)
+_POINT_INDICES = tuple(slot[2:] for slot in _POINT_SLOTS)
 # (line, index into SYMBOLS of its symbol), in line order
 _LINE_SLOTS = tuple((l, SYMBOLS.index(s)) for l, s in LINE_SYMBOLS)
 _read_symbols = itemgetter(*SYMBOLS)
@@ -121,11 +127,23 @@ class SimplexSpinLabeling:
     to_json_dict = _to_json_dict
 
 
+def _point_report(values):
+    """(message, violations) of a rejected labeling, in point order."""
+    t = [spin.twice for spin in values]
+    violations = [(tag, names, (values[i], values[j], values[k]))
+                  for tag, names, i, j, k in _POINT_SLOTS
+                  for a, b, c in ((t[i], t[j], t[k]),)
+                  if (a + b + c) % 2 or not abs(a - b) <= c <= a + b]
+    return ("triads fail at points "
+            + ", ".join(v[0] for v in violations), violations)
+
+
 def label_desargues(spins: Mapping[str, Spin]) -> DesarguesSpinLabeling:
     """Attach the ten spins to the configuration and validate all triads.
 
-    Raises TriadViolation carrying every failing point (its tag, the
-    three symbols meeting there and their spins).
+    Stops at the first failing point and raises TriadViolation.  Its
+    report, built when first read, carries every failing point (its
+    tag, the three symbols meeting there and their spins).
     """
     # membership first, so that nothing is read (and a defaultdict is
     # not filled) unless every symbol is there
@@ -133,17 +151,15 @@ def label_desargues(spins: Mapping[str, Spin]) -> DesarguesSpinLabeling:
     if missing:
         raise MissingSymbol(f"missing spin symbols: {', '.join(missing)}")
     values = _read_symbols(spins)
-    t = [spin.twice for spin in values]
     # a triad couples when its perimeter is even and the triangle
-    # inequalities hold
-    violations = [(tag, names, (values[i], values[j], values[k]))
-                  for tag, names, i, j, k in _POINT_SLOTS
-                  for a, b, c in ((t[i], t[j], t[k]),)
-                  if (a + b + c) % 2 or not abs(a - b) <= c <= a + b]
-    if violations:
-        raise TriadViolation(
-            "triads fail at points "
-            + ", ".join(v[0] for v in violations), violations)
+    # inequalities hold; twice-values are read per check, since most
+    # labelings fail at an early point
+    for i, j, k in _POINT_INDICES:
+        a = values[i].twice
+        b = values[j].twice
+        c = values[k].twice
+        if (a + b + c) % 2 or not abs(a - b) <= c <= a + b:
+            raise TriadViolation.deferred(partial(_point_report, values))
     line_spins = {l: values[i] for l, i in _LINE_SLOTS}
     return DesarguesSpinLabeling(DESARGUES, line_spins,
                                  dict(zip(SYMBOLS, values)))

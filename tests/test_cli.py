@@ -641,6 +641,13 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("amplitude", "--spins", "a=0,b=1,c=1,d=1,e=1,f=1,p=1,q=1,r=1,x=0"), 1,
      "ec93f49c4fd20c549d3f39297ae871308fb91f73876bc2e76a6c600c2cc8ab93"),
+    # the full violation report: fails at (12), (13) and (23)
+    (("label", "--spins",
+      "a=0,b=0,c=0,d=0,e=1/2,f=1/2,p=0,q=1/2,r=1/2,x=3/2"), 1,
+     "9b3eb0e9a0a9f05cd3399dbf0ae92481219d7203e808ef18c8cacf4c160e2ddd"),
+    (("amplitude", "--spins",
+      "a=0,b=0,c=0,d=0,e=1/2,f=1/2,p=0,q=1/2,r=1/2,x=3/2"), 1,
+     "4b5a4c9d95ffecb997dc7f7dd86d00b2760d9f85a651e15cf5ea9ab89385633e"),
     (("export", "quadrangle"), 0,
      "71d3a92be225d53b7a5f6582e4ede3918a07203a41945a9f6fa1b53d26afbbab"),
     (("export", "desargues"), 0,

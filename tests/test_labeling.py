@@ -1,10 +1,16 @@
+import copy
 import itertools
+import pickle
 import random
+import sys
+import threading
+import time
 from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
+from spinnet import labeling
 from spinnet.errors import LabelTransferMismatch, MissingSymbol, TriadViolation
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.identities import (
@@ -161,12 +167,40 @@ class TestLabelDesargues:
         assert lab.to_json_dict()["symbol_spins"]["a"] == "1/2"
 
 
+def _rejection(label, spins):
+    """The TriadViolation label(spins) raises."""
+    try:
+        label(spins)
+    except TriadViolation as exc:
+        return exc
+    raise AssertionError("accepted on a second call")
+
+
+def _shown(exc):
+    """Everything an exception shows: type, args, message, repr, report."""
+    return type(exc), exc.args, str(exc), repr(exc), exc.violations
+
+
+# each read is made first, on a fresh exception
+_FIRST_READS = (
+    lambda exc: exc.violations,
+    lambda exc: exc.args,
+    str,
+    repr,
+    lambda exc: exc.__reduce__(),
+    lambda exc: _shown(pickle.loads(pickle.dumps(exc))),
+    lambda exc: _shown(copy.copy(exc)),
+    lambda exc: _shown(copy.deepcopy(exc)),
+)
+
+
 def _outcome(label, spins):
-    """Everything label(spins) shows: violations and message, or dicts."""
+    """Everything label(spins) shows: each read of its rejection, or dicts."""
     try:
         d = label(spins)
-    except TriadViolation as exc:
-        return False, str(exc), exc.violations
+    except TriadViolation:
+        return False, tuple(read(_rejection(label, spins))
+                            for read in _FIRST_READS)
     return (True, d.structure, list(d.symbol_spins.items()),
             list(d.line_spins.items()))
 
@@ -194,6 +228,89 @@ class TestSlotTableAgainstTriadCalls:
         draws = [tuple(rng.randrange(7) for _ in SYMBOLS)
                  for _ in range(20000)]
         assert self.check(draws) > 0
+
+
+class TestDeferredReport:
+    """A rejection's report is built on first read, once."""
+
+    # fails at (12), (13) and (23)
+    SPINS = dict(zip(SYMBOLS, map(Spin, (0, 0, 0, 0, 1, 1, 0, 1, 1, 3))))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        report = labeling._point_report
+
+        def counted(values):
+            calls.append(values)
+            return report(values)
+
+        monkeypatch.setattr(labeling, "_point_report", counted)
+        return calls
+
+    def test_dropped_rejection_builds_no_report(self, calls):
+        for spins in (self.SPINS, constant_map(1)):
+            try:
+                label_desargues(spins)
+            except TriadViolation:
+                pass
+        assert calls == []
+
+    def test_every_read_builds_the_report_once(self, calls):
+        exc = _rejection(label_desargues, self.SPINS)
+        assert type(exc) is TriadViolation
+        for read in _FIRST_READS:
+            read(exc)
+        assert len(calls) == 1
+        assert [v[0] for v in exc.violations] == ["(12)", "(13)", "(23)"]
+        assert str(exc) == "triads fail at points (12), (13), (23)"
+        # the pending report is dropped once resolved
+        assert vars(exc) == vars(_rejection(label_desargues_by_triads,
+                                            self.SPINS))
+
+    def test_args_set_before_any_read(self):
+        exc = _rejection(label_desargues, self.SPINS)
+        exc.args = ("replaced",)
+        assert str(exc) == "replaced" and len(exc.violations) == 3
+
+    def test_other_attributes_still_missing(self):
+        exc = _rejection(label_desargues, self.SPINS)
+        with pytest.raises(AttributeError):
+            exc.triads
+        assert getattr(exc, "__notes__", None) is None
+        assert exc.violations
+
+    def test_overlapping_reads_agree(self):
+        # every reader that finds the report pending builds it, and
+        # readers arriving while it is built see the same result
+        eager = _rejection(label_desargues_by_triads, self.SPINS)
+        values = labeling._read_symbols(self.SPINS)
+        start = threading.Barrier(4)
+
+        def slow_report():
+            time.sleep(0.01)
+            return labeling._point_report(values)
+
+        exc = TriadViolation.deferred(slow_report)
+        seen = []
+
+        def read():
+            start.wait(timeout=10)
+            seen.append(_shown(exc))
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert seen == [_shown(eager)] * 4
+        assert vars(exc) == vars(eager)
 
 
 class TestTransfer:
