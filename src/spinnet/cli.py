@@ -15,11 +15,17 @@ import os
 import sys
 from itertools import starmap
 
+# labeling, projective and symmetry are read through the package's lazy
+# exports (spinnet.label_desargues and so on), so each loads when a
+# command that uses it runs; the verify-* commands load none of them
+import spinnet
+
 from . import kernel
 from .errors import CeilingExceeded, InvalidSpin, SpinnetError, TriadViolation
 from .exactnum import Spin
 from .identities import (
     BE_SYMBOL_NAMES,
+    SYMBOLS,
     BEInstance,
     be_check,
     iter_be_grid_checks,
@@ -27,29 +33,6 @@ from .identities import (
     orthogonality_check,
     pachner_14_check,
     pachner_23_check,
-)
-from .labeling import (
-    SYMBOLS,
-    iter_regularized_enumeration,
-    label_desargues,
-    network_amplitude,
-    transfer_labeling,
-)
-from .projective import (
-    ConfigurationSignature,
-    build_desargues,
-    build_quadrangle,
-    cross_section,
-    isomorphic,
-    plane_dual,
-    space_dual_desargues,
-    validate_configuration,
-)
-from .symmetry import (
-    canonicalize_quadruple,
-    regularization_bounds,
-    running_range,
-    symmetry_orbit,
 )
 from .wigner import SixJ, sixj_value
 
@@ -73,12 +56,13 @@ _PENTAGON_MAX_TWICE_HELP = ("largest twice-value of the grid's free spins; "
 
 # the built-in structures, in the order export lists them
 _STRUCTURES = {
-    "desargues": build_desargues,
-    "quadrangle": build_quadrangle,
-    "quadrilateral": lambda: plane_dual(build_quadrangle()),
-    "simplex": lambda: space_dual_desargues(build_desargues()),
-    "cross-section":
-        lambda: cross_section(space_dual_desargues(build_desargues())),
+    "desargues": lambda: spinnet.build_desargues(),
+    "quadrangle": lambda: spinnet.build_quadrangle(),
+    "quadrilateral": lambda: spinnet.plane_dual(spinnet.build_quadrangle()),
+    "simplex":
+        lambda: spinnet.space_dual_desargues(spinnet.build_desargues()),
+    "cross-section": lambda: spinnet.cross_section(
+        spinnet.space_dual_desargues(spinnet.build_desargues())),
 }
 
 
@@ -233,7 +217,8 @@ def _cmd_sixj(args, out):
 def _cmd_orbit(args, out):
     spins = _parse_single(args, ("a", "b", "x", "c", "d", "y"))
     symbol = SixJ(*spins)
-    orbit = sorted(symmetry_orbit(symbol), key=lambda s: s.twice_tuple())
+    orbit = sorted(spinnet.symmetry_orbit(symbol),
+                   key=lambda s: s.twice_tuple())
     value = sixj_value(symbol)
     if args.format == "json":
         out.write(_dump({
@@ -329,9 +314,9 @@ def _cmd_cross_section(args, out):
     section = _STRUCTURES["cross-section"]()
     if args.format == "json":
         data = section.to_json_dict()
-        data["validates_10_3"] = validate_configuration(
-            section, ConfigurationSignature(10, 3, 10, 3))
-        data["isomorphic_to_original"] = isomorphic(
+        data["validates_10_3"] = spinnet.validate_configuration(
+            section, spinnet.ConfigurationSignature(10, 3, 10, 3))
+        data["isomorphic_to_original"] = spinnet.isomorphic(
             section, _STRUCTURES["desargues"]())
         out.write(_dump(data) + "\n")
         return 0
@@ -341,7 +326,7 @@ def _cmd_cross_section(args, out):
 def _cmd_label(args, out):
     spins = _spin_map_arg(args.spins, SYMBOLS)
     try:
-        lab = label_desargues(spins)
+        lab = spinnet.label_desargues(spins)
     except TriadViolation as err:
         out.write(_dump({
             "valid": False,
@@ -354,7 +339,7 @@ def _cmd_label(args, out):
     data = lab.to_json_dict()
     data["valid"] = True
     if args.transfer:
-        sl = transfer_labeling(lab, _STRUCTURES["simplex"]())
+        sl = spinnet.transfer_labeling(lab, _STRUCTURES["simplex"]())
         data["tetrahedra"] = {
             f"T{i + 1}": str(sym)
             for i, sym in enumerate(sl.tetrahedron_symbols())}
@@ -366,14 +351,14 @@ def _cmd_amplitude(args, out):
     spins = _spin_map_arg(args.spins, SYMBOLS)
     _check_single_size(spins.values())
     try:
-        lab = label_desargues(spins)
+        lab = spinnet.label_desargues(spins)
     except TriadViolation as err:
         out.write(_dump({
             "valid": False,
             "violations": [v[0] for v in err.violations],
         }) + "\n")
         return 1
-    amp = network_amplitude(lab)
+    amp = spinnet.network_amplitude(lab)
     if args.format == "json":
         out.write(_dump({"amplitude": str(amp),
                          "approx": amp.to_float()}) + "\n")
@@ -384,9 +369,9 @@ def _cmd_amplitude(args, out):
 
 def _cmd_regularize(args, out):
     spins = _parse_spins(args.spins, ("a", "b", "c", "d"), args.twice)
-    quad = canonicalize_quadruple(*spins)
-    x_min, x_max, y_min, y_max = running_range(quad)
-    report = regularization_bounds(quad)
+    quad = spinnet.canonicalize_quadruple(*spins)
+    x_min, x_max, y_min, y_max = spinnet.running_range(quad)
+    report = spinnet.regularization_bounds(quad)
     data = {
         "canonical": {"a": str(quad.a), "b": str(quad.b),
                       "c": str(quad.c), "d": str(quad.d),
@@ -415,10 +400,10 @@ def _cmd_amplitudes_enumerate(args, out):
     spins = _parse_spins(args.spins, ("a", "b", "c", "d"), args.twice)
     others = _spin_map_arg(args.others, ("e", "f", "p", "q", "r"))
     _check_single_size(spins + list(others.values()))
-    quad = canonicalize_quadruple(*spins)
+    quad = spinnet.canonicalize_quadruple(*spins)
     # each entry is written as it is produced; when no x survives the
     # iterator raises before the first write
-    entries = iter_regularized_enumeration(quad, others)
+    entries = spinnet.iter_regularized_enumeration(quad, others)
     if args.format == "text":
         for x, a in entries:
             out.write(f"x={x}: {a}\n")

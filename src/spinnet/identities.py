@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 BE_SYMBOL_NAMES = ("a", "b", "c", "d", "e", "f", "p", "q", "r")
+# the ten spins of the network: the nine fixed ones and the running x
+SYMBOLS = BE_SYMBOL_NAMES + ("x",)
 
 # the five symbols of the pentagon identity / the five quadrangles,
 # each as (A, B, X, C, D, Y) slot names

@@ -36,7 +36,7 @@ from typing import Mapping
 
 from .errors import LabelTransferMismatch, MissingSymbol, TriadViolation
 from .exactnum import Spin, SqrtRational, _product, _reduce
-from .identities import BE_SYMBOL_NAMES, FIVE_SYMBOLS
+from .identities import FIVE_SYMBOLS, SYMBOLS
 from .projective import (
     IncidenceStructure,
     SimplicialComplex4,
@@ -57,8 +57,6 @@ __all__ = [
     "regularized_enumeration",
     "iter_regularized_enumeration",
 ]
-
-SYMBOLS = BE_SYMBOL_NAMES + ("x",)
 
 # symbol s sits on line [kl], where k and l are the two quadrangles
 # whose symbols omit s
@@ -85,6 +83,7 @@ _POINT_INDICES = tuple(slot[2:] for slot in _POINT_SLOTS)
 # (line, index into SYMBOLS of its symbol), in line order
 _LINE_SLOTS = tuple((l, SYMBOLS.index(s)) for l, s in LINE_SYMBOLS)
 _read_symbols = itemgetter(*SYMBOLS)
+_SYMBOL_SET = frozenset(SYMBOLS)
 _SIMPLEX = space_dual_desargues(DESARGUES)
 # (triangle tag, its three edges), in triangle order; every
 # SimplicialComplex4 has these faces
@@ -146,9 +145,10 @@ def label_desargues(spins: Mapping[str, Spin]) -> DesarguesSpinLabeling:
     tag, the three symbols meeting there and their spins).
     """
     # membership first, so that nothing is read (and a defaultdict is
-    # not filled) unless every symbol is there
-    missing = [s for s in SYMBOLS if s not in spins]
-    if missing:
+    # not filled) unless every symbol is there: the set difference
+    # reads keys only, and the ordered list is built for the message
+    if _SYMBOL_SET.difference(spins):
+        missing = [s for s in SYMBOLS if s not in spins]
         raise MissingSymbol(f"missing spin symbols: {', '.join(missing)}")
     values = _read_symbols(spins)
     # a triad couples when its perimeter is even and the triangle

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,29 @@ class TestLabelDesargues:
             label_desargues(spins)
         assert str(err.value) == "missing spin symbols: c"
         assert list(spins) == [s for s in SYMBOLS if s != "c"]
+
+    def test_a_mapping_that_is_not_a_dict(self):
+        class Spins(Mapping):
+            def __init__(self, data):
+                self.data = data
+
+            def __getitem__(self, key):
+                return self.data[key]
+
+            def __iter__(self):
+                return iter(self.data)
+
+            def __len__(self):
+                return len(self.data)
+
+        for spins in (constant_map(2), TestDeferredReport.SPINS):
+            assert (_outcome(label_desargues, Spins(spins))
+                    == _outcome(label_desargues, spins))
+        spins = constant_map(2)
+        del spins["x"], spins["c"]
+        with pytest.raises(MissingSymbol) as err:
+            label_desargues(Spins(spins))
+        assert str(err.value) == "missing spin symbols: c, x"
 
     def test_quadrangle_symbols_match_identity_arrangement(self):
         lab = label_desargues(constant_map(2))

@@ -1,6 +1,7 @@
 """What `import spinnet` loads: no submodule until a name is used, and
-then only the submodules that name needs.  Each check runs in a fresh
-interpreter, so no import made earlier in the test session hides a load.
+then only the submodules that name needs; and what each CLI command
+loads.  Each check runs in a fresh interpreter, so no import made
+earlier in the test session hides a load.
 """
 
 import json
@@ -9,6 +10,10 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
+
+from spinnet.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -99,3 +104,68 @@ def test_the_cli_loads_what_it_imports():
     loaded = run("import json, sys, spinnet.cli", LOADED)
     assert {"spinnet.identities", "spinnet.wigner", "spinnet.kernel",
             "spinnet.exactnum"} <= set(loaded)
+
+
+# the modules the CLI loads only when a command that uses them runs
+DEFERRED = ["spinnet.labeling", "spinnet.projective", "spinnet.symmetry"]
+
+
+def run_cli(argv):
+    """(exit code, stdout, deferred modules loaded) of one fresh command."""
+    return run(f"""
+        import contextlib, io, json, sys
+        import spinnet.cli
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            try:
+                code = spinnet.cli.main({list(argv)!r})
+            except SystemExit as exc:
+                code = exc.code
+        print(json.dumps([code, out.getvalue(),
+                          [m for m in {DEFERRED!r} if m in sys.modules]]))
+        """)
+
+
+ONES = "a=1,b=1,c=1,d=1,e=1,f=1,p=1,q=1,r=1,x=1"
+
+
+# (argv, the deferred modules it loads); labeling imports projective and
+# symmetry itself
+COMMAND_LOADS = [
+    (("verify-orth", "--all", "--max-twice", "1"), []),
+    (("verify-be", "--all", "--max-twice", "1"), []),
+    (("verify-pachner", "--move", "23", "--all", "--max-twice", "1"), []),
+    (("verify-pachner", "--move", "14", "--all", "--max-twice", "1"), []),
+    (("sixj", "1", "1", "1", "1", "1", "1"), []),
+    (("label", "--spins", ONES), DEFERRED),
+    (("enumerate", "1", "1", "1", "1", "--others", "e=1,f=1,p=1,q=1,r=1"),
+     DEFERRED),
+    (("orbit", "1", "1", "1", "1", "1", "1"), ["spinnet.symmetry"]),
+    (("regularize", "1", "1", "1", "1"), ["spinnet.symmetry"]),
+    (("export", "simplex"), ["spinnet.projective"]),
+]
+
+
+@pytest.mark.parametrize("argv, loads", COMMAND_LOADS,
+                         ids=[" ".join(argv) for argv, _ in COMMAND_LOADS])
+def test_each_command_loads_what_it_runs(argv, loads):
+    code, _, loaded = run_cli(argv)
+    assert (code, loaded) == (0, loads)
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("export", "--help"),
+                                  ("label", "--help")],
+                         ids=" ".join)
+def test_help_text_reads_no_deferred_module(capsys, monkeypatch, argv):
+    # the choices of export and the symbol list of label come from
+    # cli._STRUCTURES and identities.SYMBOLS; a fresh interpreter, which
+    # loads no deferred module, prints what this session's parser prints
+    monkeypatch.setenv("COLUMNS", "80")
+    code, text, loaded = run_cli(argv)
+    with pytest.raises(SystemExit):
+        main(list(argv))
+    assert (code, text, loaded) == (0, capsys.readouterr().out, [])
+    assert {"--help": "{sixj,orbit,verify-orth,",
+            "export": "{desargues,quadrangle,quadrilateral,simplex,"
+                      "cross-section}",
+            "label": "a,b,c,d,e,f,p,q,r,x"}[argv[0]] in text
