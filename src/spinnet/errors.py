@@ -48,7 +48,9 @@ class TriadViolation(SpinnetError):
     usually dropped: its message and violations are report(), called
     when violations, args, str, repr or __reduce__ (pickle, copy) is
     first read, and every such read returns what the eager
-    TriadViolation(message, violations) returns.
+    TriadViolation(message, violations) returns.  copy.deepcopy shares
+    violations, which a report fills with immutable values only, and
+    deep-copies every other attribute.
     """
 
     def __init__(self, message, violations=()):
@@ -99,6 +101,20 @@ class TriadViolation(SpinnetError):
     def __reduce__(self):
         self._resolve()
         return super().__reduce__()
+
+    def __deepcopy__(self, memo):
+        # the default deep copy rebuilt from __reduce__, except that the
+        # copy shares violations: a report of strings, tuples and Spins
+        # is immutable, and copying it was most of the cost; every other
+        # attribute, such as a __notes__ list, is deep-copied as before
+        from copy import deepcopy
+
+        cls, args, *state = self.__reduce__()
+        dup = memo[id(self)] = cls(*deepcopy(args, memo))
+        for name, value in (state[0] if state else {}).items():
+            setattr(dup, name, value if name == "violations"
+                    else deepcopy(value, memo))
+        return dup
 
 
 class MissingSymbol(SpinnetError, KeyError):

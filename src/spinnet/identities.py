@@ -26,6 +26,7 @@ factor is ever introduced).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .errors import InvalidInstance, SpinnetError
@@ -292,28 +293,62 @@ def iter_be_grid(max_twice: int):
     yielded tuple already satisfies the instance invariants.  A coupled
     entry (c, f, p, q, r) steps by 2 up to max_twice and can end at
     max_twice + 1 when its parity differs: at 4, 7508 of the 15772
-    tuples have an entry of 5.
+    tuples have an entry of 5, and at 6 the grid has 204023 tuples.
+
+    Every loop runs over a range read from three tables, each indexed
+    by two twice-values up to max_twice + 1: the capped coupling range,
+    |t1 - t2| and t1 + t2 + 2 (the stop of the uncapped range).  The
+    tables belong to the call, and a row is built when a loop first
+    reaches its value, so memory grows with the part of the grid walked.
+    c, f, p and q each run over one coupling range; r runs over the
+    intersection of (ear), (fbr) and (pqr), from the largest of the three
+    lower ends to the smallest stop.  No parity test is needed: (adp),
+    (bcp), (deq) and (cfq) give e + a = f + b = p + q mod 2.  So no
+    drawn candidate is rejected, and the order is that of the plain
+    nested loops that draw r from (ear) and keep it when (fbr) and (pqr)
+    hold.
     """
     rng = range(max_twice + 1)
+    span = range(max_twice + 2)
 
-    def couple(t1, t2):
-        lo = abs(t1 - t2)
-        hi = min(t1 + t2, max_twice)
-        return range(lo, hi + 2, 2) if lo <= hi else range(0)
+    @cache
+    def rows(t1):
+        # t1's row of each table: couple, diff, stop
+        return ([range(abs(t1 - t2), min(t1 + t2, max_twice) + 2, 2)
+                 if abs(t1 - t2) <= max_twice else range(0) for t2 in span],
+                [abs(t1 - t2) for t2 in span],
+                [t1 + t2 + 2 for t2 in span])
 
     for ta in rng:
+        couple_a = rows(ta)[0]
         for td in rng:
-            for tp in couple(ta, td):                # (adp)
+            couple_d = rows(td)[0]
+            for tp in couple_a[td]:                  # (adp)
+                couple_p, diff_p, stop_p = rows(tp)
                 for tb in rng:
-                    for tc in couple(tb, tp):        # (bcp)
+                    _, diff_b, stop_b = rows(tb)
+                    for tc in couple_p[tb]:          # (bcp)
+                        couple_c = rows(tc)[0]
                         for te in rng:
-                            for tq in couple(td, te):        # (deq)
-                                for tf in couple(tc, tq):    # (cfq)
-                                    for tr in couple(te, ta):    # (ear)
-                                        if not triad_valid_twice(tf, tb, tr):
-                                            continue
-                                        if not triad_valid_twice(tp, tq, tr):
-                                            continue
+                            ear = couple_a[te]       # (ear)
+                            lo_e, stop_e = ear.start, ear.stop
+                            for tq in couple_d[te]:          # (deq)
+                                # (ear) and (pqr); comparisons, not
+                                # max/min calls, in the two inner loops
+                                lo_q = diff_p[tq]
+                                if lo_q < lo_e:
+                                    lo_q = lo_e
+                                stop_q = stop_p[tq]
+                                if stop_q > stop_e:
+                                    stop_q = stop_e
+                                for tf in couple_c[tq]:      # (cfq)
+                                    # and (fbr)
+                                    lo = diff_b[tf]
+                                    stop = stop_b[tf]
+                                    for tr in range(
+                                            lo if lo > lo_q else lo_q,
+                                            stop if stop < stop_q else stop_q,
+                                            2):
                                         yield (ta, tb, tc, td, te,
                                                tf, tp, tq, tr)
 

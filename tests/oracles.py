@@ -31,6 +31,10 @@ the triads, serves the *_sides_split sums.
 label_desargues_by_triads is the former label_desargues: a dict of the
 ten spins, then one triad_valid_twice call per point triad, as the
 reference for the slot-table check of spinnet.labeling.
+be_grid_by_triad_calls is the former iter_be_grid: nested loops over the
+capped coupling ranges, with r drawn from (ear) and kept when
+triad_valid_twice passes (fbr) and (pqr), as the reference for the
+table-driven ranges of spinnet.identities.iter_be_grid.
 racah_sum and schulten_gordon_residual check kernel values at spins the
 3j contraction cannot reach: the Racah z-sum S is read back from a value
 and the exact triangle coefficients, and three values along an x-column
@@ -61,7 +65,8 @@ __all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum",
            "split_mul", "split_add", "orthogonality_sides_split",
            "pentagon_sides_split", "pachner_14_sides_split",
            "legendre_triangle_sqrt", "legendre_factorial_exponents",
-           "label_desargues_by_triads", "racah_sum",
+           "label_desargues_by_triads", "be_grid_by_triad_calls",
+           "racah_sum",
            "schulten_gordon_residual"]
 
 
@@ -495,6 +500,32 @@ def label_desargues_by_triads(spins):
             + ", ".join(v[0] for v in violations), violations)
     line_spins = {l: symbol_spins[s] for l, s in LINE_SYMBOLS}
     return DesarguesSpinLabeling(DESARGUES, line_spins, symbol_spins)
+
+
+def be_grid_by_triad_calls(max_twice):
+    """The former iter_be_grid, two triad_valid_twice calls per r drawn."""
+    rng = range(max_twice + 1)
+
+    def couple(t1, t2):
+        lo = abs(t1 - t2)
+        hi = min(t1 + t2, max_twice)
+        return range(lo, hi + 2, 2) if lo <= hi else range(0)
+
+    for ta in rng:
+        for td in rng:
+            for tp in couple(ta, td):                # (adp)
+                for tb in rng:
+                    for tc in couple(tb, tp):        # (bcp)
+                        for te in rng:
+                            for tq in couple(td, te):        # (deq)
+                                for tf in couple(tc, tq):    # (cfq)
+                                    for tr in couple(te, ta):    # (ear)
+                                        if not triad_valid_twice(tf, tb, tr):
+                                            continue
+                                        if not triad_valid_twice(tp, tq, tr):
+                                            continue
+                                        yield (ta, tb, tc, td, te,
+                                               tf, tp, tq, tr)
 
 
 def racah_sum(t6, triple) -> Fraction:

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields, replace
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    be_grid_by_triad_calls,
     orthogonality_sides_split,
     pachner_14_sides_split,
     pentagon_sides_split,
@@ -568,6 +570,32 @@ class TestBEGridChecks:
     def test_unknown_move_raises_at_the_call(self):
         with pytest.raises(SpinnetError, match="unknown verification grid"):
             iter_be_grid_checks(2, "foo")
+
+
+class TestBEGridRanges:
+    """iter_be_grid against the former loops with triad calls on each r."""
+
+    @pytest.mark.parametrize("max_twice", range(7))
+    def test_same_sequence_as_triad_calls(self, max_twice):
+        assert (list(iter_be_grid(max_twice))
+                == list(be_grid_by_triad_calls(max_twice)))
+
+    def test_counts(self):
+        grid = list(iter_be_grid(4))
+        assert len(grid) == 15772
+        assert sum(5 in t for t in grid) == 7508
+        assert sum(1 for _ in iter_be_grid(6)) == 204023
+
+    def test_first_tuple_builds_one_row(self):
+        # the tables are read row by row as the loops reach a value, so
+        # the first tuple at twice 1000 costs one row, not 10**6 entries
+        tracemalloc.start()
+        try:
+            assert next(iter_be_grid(1000)) == (0,) * 9
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestPentagonSymbolLookups:

@@ -304,6 +304,19 @@ class TestDeferredReport:
         assert getattr(exc, "__notes__", None) is None
         assert exc.violations
 
+    @pytest.mark.parametrize("label", [label_desargues,
+                                       label_desargues_by_triads])
+    def test_deepcopy_shares_the_report_and_copies_notes(self, label):
+        # deferred and eager rejections alike: the copy shows the same,
+        # holds the very violations tuple and its own copy of the notes
+        exc = _rejection(label, self.SPINS)
+        exc.__notes__ = ["drawn in a test"]
+        dup = copy.deepcopy(exc)
+        assert _shown(dup) == _shown(exc)
+        assert dup.violations is exc.violations
+        assert dup.__notes__ == exc.__notes__
+        assert dup.__notes__ is not exc.__notes__
+
     def test_overlapping_reads_agree(self):
         # every reader that finds the report pending builds it, and
         # readers arriving while it is built see the same result
