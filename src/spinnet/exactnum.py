@@ -263,11 +263,12 @@ class SqrtRational:
         s = text.strip().replace(" ", "")
         m = re.fullmatch(
             r"(?P<c>[+-]?\d+(?:/\d+)?)(?:\*sqrt\((?P<r>\d+(?:/\d+)?)\))?", s)
-        if not m:
-            raise ValueError(f"cannot parse sqrt-rational {text!r}")
-        coeff = Fraction(m.group("c"))
-        rad = Fraction(m.group("r")) if m.group("r") else Fraction(1)
-        return cls(coeff, rad)
+        try:
+            if m:
+                return cls(Fraction(m.group("c")), Fraction(m.group("r") or 1))
+        except ZeroDivisionError:
+            pass  # a zero denominator
+        raise ValueError(f"cannot parse sqrt-rational {text!r}")
 
     def is_zero(self) -> bool:
         return self.coeff == 0

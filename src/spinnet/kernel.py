@@ -4,7 +4,10 @@ Inputs are twice-values of a symbol {a b x; c d y} whose four triads
 (abx), (bcy), (cdx), (ady) have already been validated by the caller.
 The value is returned as (num, den, rad): the exact number
 (num/den)*sqrt(rad) with gcd(num, den) == 1, den > 0 and rad a
-square-free positive integer.
+square-free positive integer.  sixj_raw turns the entries into the
+Regge array once: the four triad perimeters a_i and the three four-spin
+sums b_j, on which the 144 symmetries act by permutation (Regge, Nuovo
+Cimento 11 (1959) 116).  Everything below it reads only these seven.
 
 The z-sum runs along the term ratios c_{z+1}/c_z, each a quotient of
 two products of four small integers, so no term rebuilds a factorial.
@@ -16,15 +19,16 @@ prefactor reaches (zmin+1)! at or above exactnum's factorial memo,
 since the large path never multiplies a factorial out.
 
 The four triangle coefficients contribute only a denominator and a
-radicand.  Their product is one over an integer D, read off the packed
-prime-exponent vectors of factorials that exactnum memoizes: sixteen
-big-int additions give D's vector, decoded once, with no prime sieve
-per call and no per-prime loop over the factorials.  Small symbols
-multiply the z-sum's factorial prefactor out of the factorial memo.  The
-large path keeps the prefactor as a packed exponent vector too, and
-splits it by masks into its numerator's and its denominator's exponents,
-as in the prime-factorized factorials of Johansson & Forssén (SIAM J.
-Sci. Comput. 38, 2016).  Every term of the z-sum is an integer, so the
+radicand: their product is one over D = prod_i (a_i+1)!/prod_ij
+(b_j-a_i)!, as the twelve entries b_j - a_i are the twelve triangle
+arguments.  One function builds D's packed prime-exponent vector for
+both paths from sixteen factorial vectors exactnum memoizes, with no
+prime sieve per call.  Small symbols decode it prime by prime and multiply
+the z-sum's factorial prefactor out of the factorial memo.  The large
+path keeps the prefactor as a packed exponent vector too, and splits it
+by masks into its numerator's and its denominator's exponents, as in
+the prime-factorized factorials of Johansson & Forssén (SIAM J. Sci.
+Comput. 38, 2016).  Every term of the z-sum is an integer, so the
 prefactor's denominator divides the sum exactly; what is left against
 D is a small exponent vector, reduced by one small gcd.  Each prime-power
 product is read off bit planes of its vector, squaring from the high bit
@@ -67,29 +71,28 @@ def backend() -> str:
 
 def sixj_raw(ta, tb, tx, tc, td, ty):
     """Exact {a b x; c d y} from twice-values with valid triads."""
-    # triad perimeters and the three four-spin sums, in integer units
-    a1 = (ta + tb + tx) // 2
-    a2 = (ta + td + ty) // 2
-    a3 = (tc + tb + ty) // 2
-    a4 = (tc + td + tx) // 2
-    b1 = (ta + tb + tc + td) // 2
-    b2 = (tb + tx + td + ty) // 2
-    b3 = (tx + ta + ty + tc) // 2
-
-    zmin = max(a1, a2, a3, a4)
-    zmax = min(b1, b2, b3)
+    # the Regge array: triad perimeters and the three four-spin sums, in
+    # integer units
+    a = ((ta + tb + tx) // 2, (ta + td + ty) // 2,
+         (tc + tb + ty) // 2, (tc + td + tx) // 2)
+    b = ((ta + tb + tc + td) // 2, (tb + tx + td + ty) // 2,
+         (tx + ta + ty + tc) // 2)
+    zmin = max(a)
+    zmax = min(b)
     # the Horner loop's factorials are all memo entries when
     # zmin + 1 < _FACTORIAL_MEMO_SIZE; above that each would be computed
     # afresh, so thin symbols there take the large path too
     if zmax - zmin < _PACKED_STEPS and (
             zmax - zmin >= _SPLIT_STEPS or zmin + 1 >= _FACTORIAL_MEMO_SIZE):
-        return _sixj_large(ta, tb, tx, tc, td, ty)
+        return _sixj_large(a, b)
 
     # sum_z (-1)^z (z+1)! / (prod_i (z-a_i)! prod_j (b_j-z)!) nested from
     # the last term down: c_{z+1}/c_z = -P(z)/Q(z), and n/d is the bracket
     # 1 + (c_{z+1}/c_z)(1 + ...) opened at z.  d telescopes to
     # prod_i (zmax-a_i)!/(zmin-a_i)!, so the sum is
     # (-1)^zmin (zmin+1)! n / den with den the common denominator below.
+    a1, a2, a3, a4 = a
+    b1, b2, b3 = b
     n = d = 1
     for z in range(zmax - 1, zmin - 1, -1):
         q = (z + 1 - a1) * (z + 1 - a2) * (z + 1 - a3) * (z + 1 - a4)
@@ -102,25 +105,18 @@ def sixj_raw(ta, tb, tx, tc, td, ty):
            * factorial(zmax - a3) * factorial(zmax - a4)
            * factorial(b1 - zmin) * factorial(b2 - zmin)
            * factorial(b3 - zmin))
-
-    # sqrt of the product of the four squared triangle coefficients,
-    # via prime exponents of the factorials involved
-    den2, rad = _triangle_sqrt(
-        ((ta, tb, tx), (ta, td, ty), (tc, tb, ty), (tc, td, tx)))
+    den2, rad = _triangle_sqrt(a, b)
     return _reduce(num, den * den2, rad)
 
 
-def _sixj_large(ta, tb, tx, tc, td, ty):
-    """sixj_raw's triple by binary splitting and a packed prefactor.
+def _sixj_large(a, b):
+    """sixj_raw's triple, from its Regge array (a, b), by binary splitting.
 
-    Exact for any valid symbol with zmax - zmin < _PACKED_STEPS;
-    sixj_raw calls it from _SPLIT_STEPS steps up, and for fewer steps
-    once zmin + 1 reaches the factorial memo's size.
+    The prefactor stays a packed exponent vector.  Exact for any valid
+    symbol with zmax - zmin < _PACKED_STEPS; sixj_raw calls it from
+    _SPLIT_STEPS steps up, and for fewer steps once zmin + 1 reaches the
+    factorial memo's size.
     """
-    a = ((ta + tb + tx) // 2, (ta + td + ty) // 2,
-         (tc + tb + ty) // 2, (tc + td + tx) // 2)
-    b = ((ta + tb + tc + td) // 2, (tb + tx + td + ty) // 2,
-         (tx + ta + ty + tc) // 2)
     zmin = max(a)
     zmax = min(b)
     n = _zsum(zmin, zmax, a, b)
@@ -147,18 +143,13 @@ def _sixj_large(ta, tb, tx, tc, td, ty):
     neg = ones - pos
     fpos = f_vec & (0xFF * pos)
     fneg = _BIAS * neg - (f_vec & (0xFFFF * neg))
-    # D's vector as in _triangle_sqrt, whose bound keeps every field small
-    d_vec = 0
-    for t1, t2, t3 in ((ta, tb, tx), (ta, td, ty),
-                       (tc, tb, ty), (tc, td, tx)):
-        h = (t1 + t2 + t3) // 2
-        d_vec += fe(h + 1) - fe(h - t1) - fe(h - t2) - fe(h - t3)
+    d_vec = _triangle_vector(a, b)
     # n F = sum_z c_z with every term c_z = (z+1)!/(prod_i (z-a_i)!
     # prod_j (b_j-z)!) an integer, its seven arguments summing to z; F's
     # denominator A = prod p^fneg is prime to its numerator, so A divides
     # n, and the value is (-1)^zmin (n/A) sqrt(rad) over prod p^k with
     # k = ceil(e/2) - fpos, both terms below 2**9 by the bounds of
-    # _triangle_sqrt and _BIAS.  Biased by 0x8000, a field of k has bit
+    # _triangle_vector and _BIAS.  Biased by 0x8000, a field of k has bit
     # 15 set exactly where k >= 0: those fields give the denominator, the
     # others the numerator's factor prod p^-k.  rad is the primes with e
     # odd
@@ -232,32 +223,34 @@ def _zsum(zmin, zmax, a, b):
     return (q1 + t1) * q2 + p1 * t2
 
 
-def _triangle_sqrt(triads):
-    """sqrt of prod over triads of (g1)!(g2)!(g3)!/(n+1)!, exactly.
+def _triangle_vector(a, b):
+    """The packed prime-exponent vector of D, the triangle denominators.
 
-    Each factor is 1/((n+1) * n!/(g1! g2! g3!)), n the perimeter, one
-    over an integer D_t.  Returns (den, rad): the value sqrt(rad)/den,
-    with rad the square-free part of D = prod D_t.
+    D = prod_i (a_i+1)!/prod_ij (b_j-a_i)!: triad i's coefficient is
+    1/((a_i+1) * a_i!/(g1! g2! g3!)), one over an integer, and its three
+    g are the b_j - a_i.  Sixteen memo entries give the vector.  Each
+    field reads off exactly, since each exponent in D is below 2**16: by
+    Kummer's theorem p's exponent in a_i!/(g1! g2! g3!) is the number of
+    carries, at most two per base-p digit, in adding g1 + g2 + g3 = a_i;
+    with p's exponent in a_i + 1 that is at most 3*log2(a_i+1) + 2 per
+    triad, so at most 4*(3*log2(a_i+1) + 2) in D: under 800 even at
+    a_i = 2**64.
     """
-    # the packed prime-exponent vector of D, from sixteen memo entries
-    vec = 0
-    top = 0
-    for t1, t2, t3 in triads:
-        n = (t1 + t2 + t3) // 2
-        vec += (factorial_exponents(n + 1) - factorial_exponents(n - t1)
-                - factorial_exponents(n - t2) - factorial_exponents(n - t3))
-        if n >= top:
-            top = n + 1
-    # vec reads off exactly when each exponent in D is below 2**16.  By
-    # Kummer's theorem p's exponent in n!/(g1! g2! g3!) is the number of
-    # carries, at most two per base-p digit, in adding g1 + g2 + g3 = n;
-    # with p's exponent in n + 1 that is at most 3*log2(n+1) + 2 per
-    # triad, so at most 4*(3*log2(n+1) + 2) in D: under 800 even at
-    # n = 2**64, far below 2**16.
+    fe = factorial_exponents
+    a1, a2, a3, a4 = a
+    vec = fe(a1 + 1) + fe(a2 + 1) + fe(a3 + 1) + fe(a4 + 1)
+    for bj in b:
+        vec -= fe(bj - a1) + fe(bj - a2) + fe(bj - a3) + fe(bj - a4)
+    return vec
+
+
+def _triangle_sqrt(a, b):
+    """(den, rad) with sqrt(1/D) = sqrt(rad)/den, rad square-free."""
+    vec = _triangle_vector(a, b)
     fields = array("H", vec.to_bytes(-(-vec.bit_length() // 16) * 2,
                                      sys.byteorder))
     den = rad = 1
-    for p, e in zip(factorial_primes(top), fields):
+    for p, e in zip(factorial_primes(max(a) + 1), fields):
         if e:
             if e & 1:
                 rad *= p

@@ -157,9 +157,10 @@ def _sixj_cached(t: tuple[int, ...]) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def _sixj_orbit(key: tuple[int, ...]) -> tuple[int, int, int]:
-    # key = (A1..A4, B1..B3), both ascending.  The representative
-    # inverts the kernel's alpha/beta sums; zmin = A4/2 and zmax = B1/2
-    # are orbit invariants, so it takes the kernel path of every member.
+    # key = (A1..A4, B1..B3), both ascending: twice the Regge array
+    # (a, b) that sixj_raw computes once and all of the kernel below it
+    # reads.  The representative inverts those sums, so the kernel sees
+    # the key's a and b up to order, and takes the path of every member.
     a1, a2, a3, a4, b1, b2, b3 = key
     b12 = b1 + b2
     b13 = b1 + b3

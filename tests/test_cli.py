@@ -603,6 +603,18 @@ GOLDEN = [
     (("verify-pachner", "--move", "23", "--all", "--max-twice", "4",
       "--format", "json"), 0,
      "091cd4523b253fdc6b3db65164024d7c8201e9ad6899a418bc2bafd2a22744e4"),
+    # the kernel's large path, recorded before it read only the Regge
+    # array: a regular symbol at the size limit, a skewed one with 620
+    # ratio steps, and a column whose x crosses _SPLIT_STEPS
+    (("sixj", "--twice", "4000", "4000", "4000", "4000", "4000", "4000",
+      "--format", "json"), 0,
+     "8c21de20a1d08d7bbce049283e7d85ee2eae8f4f03eec977b9e217a704e08a5b"),
+    (("sixj", "--twice", "3001", "2203", "2900", "2594", "1780", "2461",
+      "--format", "json"), 0,
+     "eb52a80ff4476fdf7564def3a06ef475ea1fca33e0fb4236e5d84c4de760aec3"),
+    (("verify-orth", "--twice", "--format", "json",
+      "400", "400", "400", "400", "400", "400"), 0,
+     "9e555403f4488cccae7d7049382c0a8bf1d488c4cd6324e6941c58feb317e759"),
     # recorded before the cli gave each job one code path: the json
     # records of single-instance checks, the text of the structure and
     # enumeration commands, a failing amplitude and the exports

@@ -183,6 +183,14 @@ class TestSqrtRational:
         with pytest.raises(ValueError):
             SqrtRational.parse("sqrt(2)")
 
+    @pytest.mark.parametrize("text", [
+        "1/0", "0/0", "1*sqrt(1/0)", "0*sqrt(0/0)", "-3/0*sqrt(2)"])
+    def test_parse_rejects_with_value_error(self, text):
+        # a zero denominator is malformed text like any other, not a
+        # ZeroDivisionError from Fraction
+        with pytest.raises(ValueError, match="cannot parse sqrt-rational"):
+            SqrtRational.parse(text)
+
     def test_float_helper(self):
         assert SqrtRational(1, 2).to_float() == pytest.approx(math.sqrt(2))
         assert SqrtRational(0).to_float() == 0.0

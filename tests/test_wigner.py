@@ -3,7 +3,7 @@ import random
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -207,9 +207,8 @@ class TestTriangleSqrt:
     @staticmethod
     def assert_matches_legendre(symbols):
         for t in symbols:
-            triads = _triads(t)
-            assert (kernel._triangle_sqrt(triads)
-                    == legendre_triangle_sqrt(triads)), t
+            assert (kernel._triangle_sqrt(*_racah_args(t))
+                    == legendre_triangle_sqrt(_triads(t))), t
 
     def test_every_symbol_to_twice_8(self):
         symbols = list(iter_valid_sixj(8))
@@ -279,6 +278,17 @@ def _skewed(rng, twice):
             return ta, tb, rng.choice(xs), tc, td, rng.choice(ys)
 
 
+def _seeded_200_to_4000():
+    # near-regular and skewed symbols, twice 200 to 4000 log-uniform
+    rng = random.Random(2011)
+    symbols = []
+    for _ in range(12):
+        twice = round(200 * 20 ** rng.random())
+        symbols += _near_regular(rng, twice, 1)
+        symbols.append(_skewed(rng, twice))
+    return symbols
+
+
 class TestLargePath:
     """The kernel's large path, binary splitting of the z-sum and the
     prefactor read off packed exponent vectors, against the Horner z-sum
@@ -291,7 +301,7 @@ class TestLargePath:
             assert kernel.sixj_raw(*t) == expected, t
             # the large routine directly, on symbols far below its size,
             # n == 0 among them
-            assert kernel._sixj_large(*t) == expected, t
+            assert kernel._sixj_large(*_racah_args(t)) == expected, t
             count += 1
             zeros += expected[0] == 0
         assert (count, zeros) == (42393, 202)
@@ -305,7 +315,8 @@ class TestLargePath:
         # equal to and longer than a block reach the plain loop
         for t in _regular_with_steps(steps):
             assert _steps(t) == steps
-            assert kernel._sixj_large(*t) == horner_sixj_raw(*t), t
+            assert (kernel._sixj_large(*_racah_args(t))
+                    == horner_sixj_raw(*t)), t
 
     def test_path_switches_at_the_size_constant(self, monkeypatch):
         large = kernel._sixj_large
@@ -316,7 +327,7 @@ class TestLargePath:
         above = _regular_with_steps(kernel._SPLIT_STEPS)
         for t in below + above:
             assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
-        assert ran == above
+        assert ran == [_racah_args(t) for t in above]
         # from _PACKED_STEPS up the Horner path runs again; its real
         # value puts the symbols past twice 32000, so it is lowered here
         monkeypatch.setattr(kernel, "_PACKED_STEPS", kernel._SPLIT_STEPS + 1)
@@ -324,15 +335,10 @@ class TestLargePath:
         beyond = _regular_with_steps(kernel._SPLIT_STEPS + 1)
         for t in above + beyond:
             assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
-        assert ran == above
+        assert ran == [_racah_args(t) for t in above]
 
     def test_seeded_symbols_200_to_4000(self):
-        rng = random.Random(2011)
-        symbols = []
-        for _ in range(12):
-            twice = round(200 * 20 ** rng.random())
-            symbols += _near_regular(rng, twice, 1)
-            symbols.append(_skewed(rng, twice))
+        symbols = _seeded_200_to_4000()
         large = sum(_steps(t) >= kernel._SPLIT_STEPS for t in symbols)
         assert 0 < large < len(symbols)
         for t in symbols:
@@ -377,8 +383,8 @@ class TestLargePath:
                 rad *= p
             (ups if k > 0 else downs).append(p ** abs(k))
         assert zmin % 2 == 1
-        assert kernel._sixj_large(*t) == (-_tree_product(ups),
-                                          _tree_product(downs), rad)
+        assert kernel._sixj_large(*_racah_args(t)) == (
+            -_tree_product(ups), _tree_product(downs), rad)
 
 
 def _zsum(t):
@@ -398,7 +404,8 @@ class TestPrefactorAgainstTheGcdPath:
             n = _zsum(t)
             # the prefactor's denominator divides n exactly
             assert n % legendre_prefactor_denominator(t) == 0, t
-            assert kernel._sixj_large(*t) == gcd_prefactor_triple(t, n), t
+            assert (kernel._sixj_large(*_racah_args(t))
+                    == gcd_prefactor_triple(t, n)), t
 
     def test_seeded_symbols_200_to_4000(self):
         rng = random.Random(1702)
@@ -424,6 +431,38 @@ class TestPrefactorAgainstTheGcdPath:
         # zmin + 1 at or past the factorial memo's size
         assert min(max(_racah_args(t)[0]) for t in symbols) + 1 >= 10_000
         self.assert_matches_gcd_path(symbols)
+
+
+class TestReggeArray:
+    """Below sixj_raw the kernel reads only the Regge array (a, b), whose
+    a_i and b_j the 144 symmetries permute: the large path and the
+    triangle part give sixj_raw's value and Legendre's (den, rad) on
+    shuffles of a and b."""
+
+    SHUFFLES = list(product(permutations(range(4)), permutations(range(3))))
+
+    def assert_shuffles_agree(self, symbols, per_symbol):
+        rng = random.Random(144)
+        for t in symbols:
+            value = kernel.sixj_raw(*t)
+            tri = legendre_triangle_sqrt(_triads(t))
+            a, b = _racah_args(t)
+            for pa, pb in rng.sample(self.SHUFFLES, per_symbol):
+                sa = tuple(a[i] for i in pa)
+                sb = tuple(b[j] for j in pb)
+                assert kernel._sixj_large(sa, sb) == value, (t, sa, sb)
+                assert kernel._triangle_sqrt(sa, sb) == tri, (t, sa, sb)
+
+    def test_every_symbol_to_twice_8(self):
+        symbols = list(iter_valid_sixj(8))
+        assert len(symbols) == 13691
+        self.assert_shuffles_agree(symbols, 2)
+
+    def test_seeded_symbols_200_to_4000(self):
+        symbols = _seeded_200_to_4000()
+        assert {_steps(t) >= kernel._SPLIT_STEPS for t in symbols} == {
+            False, True}
+        self.assert_shuffles_agree(symbols, 6)
 
 
 def _thin_with_steps(twice, s):
@@ -457,7 +496,7 @@ class TestThinAboveTheMemo:
         assert exactnum._FACTORIAL_MEMO_SIZE == 10_000
         for t in (below, at):
             assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
-        assert ran == [at]
+        assert ran == [_racah_args(at)]
 
 
 def _column_residual(t, image=None):
