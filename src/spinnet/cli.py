@@ -5,6 +5,10 @@ verification finds a violation or a labeling fails its triads, 2 for
 usage errors and for output that cannot be written.  Output is
 byte-for-byte deterministic for fixed inputs; verification records
 stream as JSON lines.
+
+A command loads only the spinnet modules it runs, and none of them
+loads dataclasses or inspect: the record classes are built by
+exactnum._frozen_record.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ multiple of the square root of a square-free non-negative integer.
 Inside the library the same value travels as a (num, den, rad) triple,
 and the triple helpers below are the one place where values are
 multiplied, added and reduced.
+
+_frozen_record, at the end, makes the library's record classes frozen
+dataclasses in all but the import: dataclasses, and the inspect, ast,
+dis and tokenize it imports, load only when its API is called on a
+record.
 """
 
 from __future__ import annotations
@@ -505,3 +510,115 @@ def phase_from_twice(twice: int) -> int:
         raise PhaseParityError(
             f"(-1)**({twice}/2) has half-integer exponent")
     return -1 if (twice // 2) % 2 else 1
+
+
+# dataclasses imports inspect, ast, dis and tokenize, which once cost a
+# first 6j value or a CLI command most of its start-up.  The methods
+# dataclass(frozen=True) compiles, in its source form: __create_fn__
+# binds object as dataclasses does, so __init__ runs dataclass's body.
+_RECORD_SOURCE = """\
+def __create_fn__(__dataclass_builtins_object__):
+ def __init__(self, {args}):
+{body}
+ def __eq__(self, other):
+  if other.__class__ is self.__class__:
+   return ({own},) == ({other},)
+  return NotImplemented
+ def __hash__(self):
+  return hash(({own},))
+ return __init__, __eq__, __hash__
+"""
+
+
+def _frozen_record(cls):
+    """Make cls a frozen record, as dataclass(frozen=True) makes it.
+
+    The fields are the names annotated in the class body, in order; the
+    class has no defaults, field() or base class, and defines none of
+    the methods added here.  __init__, __eq__ and __hash__ are compiled
+    from the source dataclasses generates (one object.__setattr__ per
+    field, then __post_init__ when the class has one); __repr__, the
+    frozen __setattr__ and __delattr__ (which import FrozenInstanceError
+    only to raise it), __match_args__ and, from Python 3.13,
+    __replace__ behave as dataclass's.  __dataclass_fields__ and
+    __dataclass_params__ are built on first read, so fields, asdict,
+    astuple, replace and is_dataclass work and load dataclasses only
+    when called.
+    """
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    body = [f"  __dataclass_builtins_object__.__setattr__(self, {n!r}, {n})"
+            for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("  self.__post_init__()")
+    namespace = {}
+    exec(_RECORD_SOURCE.format(
+        args=", ".join(names), body="\n".join(body),
+        own=", ".join(f"self.{n}" for n in names),
+        other=", ".join(f"other.{n}" for n in names)),
+        {"__name__": cls.__module__}, namespace)
+    init, eq, hash_ = namespace["__create_fn__"](object)
+    init.__annotations__ = {**annotations, "return": None}
+    running = set()
+
+    def __repr__(self):
+        key = id(self), threading.get_ident()
+        if key in running:
+            return "..."
+        running.add(key)
+        try:
+            return (f"{self.__class__.__qualname__}("
+                    + ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+                    + ")")
+        finally:
+            running.discard(key)
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            from dataclasses import FrozenInstanceError
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            from dataclasses import FrozenInstanceError
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    def __replace__(self, /, **changes):
+        from dataclasses import replace
+        return replace(self, **changes)
+
+    methods = [init, eq, hash_, __repr__, __setattr__, __delattr__]
+    if sys.version_info >= (3, 13):
+        methods.append(__replace__)
+    for fn in methods:
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+        setattr(cls, fn.__name__, fn)
+    cls.__match_args__ = names
+    cls.__dataclass_fields__ = _DataclassAttribute(cls, "__dataclass_fields__")
+    cls.__dataclass_params__ = _DataclassAttribute(cls, "__dataclass_params__")
+    return cls
+
+
+class _DataclassAttribute:
+    """A record's dataclasses attribute, built when first read.
+
+    dataclass(frozen=True) runs on a twin class holding only the
+    record's annotations, and the twin's __dataclass_fields__ and
+    __dataclass_params__ replace both descriptors on the record.
+    """
+
+    def __init__(self, cls, name):
+        self.cls, self.name = cls, name
+
+    def __get__(self, obj, owner=None):
+        from dataclasses import dataclass
+        cls = self.cls
+        twin = dataclass(frozen=True)(type(cls.__name__, (), {
+            "__module__": cls.__module__,
+            "__qualname__": cls.__qualname__,
+            "__annotations__": dict(cls.__dict__["__annotations__"])}))
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        cls.__dataclass_params__ = twin.__dataclass_params__
+        return getattr(cls, self.name)

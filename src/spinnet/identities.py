@@ -21,11 +21,14 @@ The 2-3 move check is the pentagon identity rephrased in tetrahedral
 terms; the 1-4 move check contracts the pentagon with the orthogonality
 kernel in the p slot, which keeps every sum finite (no divergent volume
 factor is ever introduced).
+
+BEInstance and ExactCheckResult are frozen records
+(exactnum._frozen_record): the dataclasses API reads them, but
+importing this module does not load dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
@@ -34,6 +37,7 @@ from .exactnum import (
     ZERO_TRIPLE,
     Spin,
     SqrtRational,
+    _frozen_record,
     _product,
     _reduce,
     _sum,
@@ -99,7 +103,7 @@ _X_FREE_SLOTS = tuple((names, *map(BE_SYMBOL_NAMES.index, names))
 _SPINS = tuple(map(Spin, range(64)))
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class BEInstance:
     """The nine fixed spins of the pentagon identity."""
 
@@ -124,7 +128,7 @@ class BEInstance:
                 "invalid fixed triads: "
                 + ", ".join("(" + "".join(names) + ")" for names in bad),
                 triads=bad)
-        # the nine twice-values, kept outside the dataclass fields so
+        # the nine twice-values, kept outside the record fields so
         # that fields, equality, hash and repr stay those of the spins
         object.__setattr__(self, "_twice", t)
 
@@ -151,7 +155,7 @@ class BEInstance:
                                 for n in BE_SYMBOL_NAMES) + ")")
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class ExactCheckResult:
     """Both sides of an exact identity check, plus their comparison."""
 

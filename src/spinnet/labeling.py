@@ -29,13 +29,12 @@ face triads in one pass and reports them eagerly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from typing import Mapping
 
 from .errors import LabelTransferMismatch, MissingSymbol, TriadViolation
-from .exactnum import Spin, SqrtRational, _product, _reduce
+from .exactnum import Spin, SqrtRational, _frozen_record, _product, _reduce
 from .identities import FIVE_SYMBOLS, SYMBOLS
 from .projective import (
     IncidenceStructure,
@@ -102,7 +101,7 @@ def _to_json_dict(self) -> dict:
     return {"symbol_spins": {s: str(self.symbol_spins[s]) for s in SYMBOLS}}
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class DesarguesSpinLabeling:
     """A validated assignment of the ten spins to the ten lines."""
 
@@ -114,7 +113,7 @@ class DesarguesSpinLabeling:
     to_json_dict = _to_json_dict
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class SimplexSpinLabeling:
     """Edge spins on the 4-simplex with triads on triangular faces."""
 

@@ -14,11 +14,11 @@ that complex folds back to the original configuration.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
 
 from .errors import MalformedLabels
+from .exactnum import _frozen_record
 
 __all__ = [
     "IncidenceStructure",
@@ -37,7 +37,7 @@ __all__ = [
 QUADRANGLE_INDICES = (1, 2, 3, 4, 5)
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class ConfigurationSignature:
     """(p_gamma, l_pi): p points on gamma lines, l lines through pi points."""
 

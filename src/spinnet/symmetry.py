@@ -17,12 +17,11 @@ report derived from the canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 from .errors import NegativeSpinAfterTransform, UnrealizableQuadrangle
-from .exactnum import Spin
+from .exactnum import Spin, _frozen_record
 from .wigner import SixJ, admissible_x_twice
 
 __all__ = [
@@ -104,7 +103,7 @@ _FLIP_SETS = (frozenset(), frozenset({0, 1}), frozenset({0, 2}),
               frozenset({1, 2}))
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class SixJSymmetryElement:
     """One of the 144 symmetries, factored as regge-coset o classical."""
 
@@ -197,7 +196,7 @@ _D4_PERMS = (
 )
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class CanonicalQuadruple:
     """A quadruple in the canonical ordering, with its semi-perimeter.
 
@@ -287,7 +286,7 @@ def running_range(q: CanonicalQuadruple) -> tuple[Spin, Spin, Spin, Spin]:
     return (Spin(xs[0]), Spin(xs[-1]), Spin(ys[0]), Spin(ys[-1]))
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class RegularizationReport:
     """Outcome of the semi-perimeter and root-of-unity bound checks.
 

@@ -19,17 +19,18 @@ module-level functools caches, so cache_clear empties each of them.
 The identity sums read values straight from _sixj_cached, because every
 symbol they look up is admissible by construction; the functions
 returning a value wrap it in a SqrtRational without factoring again.
+SixJ is a frozen record (exactnum._frozen_record), so a first value
+loads errors, exactnum, kernel and wigner and no dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import kernel
 from .errors import InvalidSpin, InvalidTriads
-from .exactnum import Spin, SqrtRational
+from .exactnum import Spin, SqrtRational, _frozen_record
 
 __all__ = [
     "SixJ",
@@ -52,7 +53,7 @@ def triad_valid_twice(t1: int, t2: int, t3: int) -> bool:
 TRIAD_SLOTS = ((0, 1, 2), (1, 3, 5), (3, 4, 2), (0, 4, 5))
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class SixJ:
     """The symbol {a b x; c d y}; construction validates all four triads."""
 
@@ -106,8 +107,12 @@ def admissible_x_twice(*twice) -> range:
 
     twice lists the (u, v) pairs as consecutive twice-values, u1, v1,
     u2, v2, ...; the range is empty when the pairs' parities clash or
-    their intervals miss each other.
+    their intervals miss each other.  Raises TypeError unless twice
+    holds at least one pair and no unpaired value.
     """
+    if not twice or len(twice) % 2:
+        raise TypeError("admissible_x_twice takes (u, v) pairs of "
+                        f"twice-values, got {len(twice)} arguments")
     lo, hi = 0, twice[0] + twice[1]
     pairs = iter(twice)
     for u, v in zip(pairs, pairs):

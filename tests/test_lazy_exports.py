@@ -1,7 +1,9 @@
 """What `import spinnet` loads: no submodule until a name is used, and
 then only the submodules that name needs; and what each CLI command
-loads.  Each check runs in a fresh interpreter, so no import made
-earlier in the test session hides a load.
+loads.  None of them loads dataclasses or inspect: the record classes
+load dataclasses only when its API is called on them.  Each check runs
+in a fresh interpreter, so no import made earlier in the test session
+hides a load.
 """
 
 import json
@@ -50,6 +52,19 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
+# stdlib modules that the record classes once loaded at import, through
+# dataclasses; each entry point loads what a bare interpreter loads
+HEAVY = ["dataclasses", "inspect"]
+HEAVY_LOADED = f"""
+print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
+"""
+
+
+@pytest.fixture(scope="module")
+def heavy_at_start():
+    return run("import json, sys", HEAVY_LOADED)
+
+
 def test_import_loads_no_submodule():
     assert run("import json, sys, spinnet", LOADED) == []
 
@@ -60,6 +75,30 @@ def test_a_6j_value_loads_four_submodules():
         spinnet.sixj_value(spinnet.SixJ.from_twice((2,) * 6))
         """, LOADED) == ["spinnet.errors", "spinnet.exactnum",
                           "spinnet.kernel", "spinnet.wigner"]
+
+
+def test_a_6j_value_loads_no_dataclasses(heavy_at_start):
+    assert run("""
+        import json, sys, spinnet
+        spinnet.sixj_value(spinnet.SixJ.from_twice((2,) * 6))
+        """, HEAVY_LOADED) == heavy_at_start
+
+
+def test_the_dataclass_api_works_when_first_called_on_an_instance():
+    # replace, read first on an instance, builds the record's
+    # __dataclass_fields__ and re-runs __post_init__
+    assert run("""
+        import dataclasses, json, sys
+        from spinnet import SixJ, Spin
+        s = SixJ.from_twice((2,) * 6)
+        moved = dataclasses.replace(s, x=Spin(0))
+        try:
+            dataclasses.replace(s, a=Spin(20))
+        except Exception as exc:
+            error = type(exc).__name__
+        print(json.dumps([moved.twice_tuple(), dataclasses.astuple(s)[0].twice,
+                          [f.name for f in dataclasses.fields(SixJ)], error]))
+        """) == [[2, 2, 0, 2, 2, 2], 2, list("abxcdy"), "InvalidTriads"]
 
 
 def test_each_export_is_its_submodules_object():
@@ -100,10 +139,12 @@ def test_an_unknown_name_raises_attribute_error():
         """) == "module 'spinnet' has no attribute 'no_such_name'"
 
 
-def test_the_cli_loads_what_it_imports():
+def test_the_cli_loads_what_it_imports(heavy_at_start):
     loaded = run("import json, sys, spinnet.cli", LOADED)
     assert {"spinnet.identities", "spinnet.wigner", "spinnet.kernel",
             "spinnet.exactnum"} <= set(loaded)
+    assert run("import json, sys, spinnet.cli",
+               HEAVY_LOADED) == heavy_at_start
 
 
 # the modules the CLI loads only when a command that uses them runs
@@ -111,7 +152,8 @@ DEFERRED = ["spinnet.labeling", "spinnet.projective", "spinnet.symmetry"]
 
 
 def run_cli(argv):
-    """(exit code, stdout, deferred modules loaded) of one fresh command."""
+    """(exit code, stdout, deferred modules loaded, HEAVY modules loaded)
+    of one fresh command."""
     return run(f"""
         import contextlib, io, json, sys
         import spinnet.cli
@@ -122,7 +164,8 @@ def run_cli(argv):
             except SystemExit as exc:
                 code = exc.code
         print(json.dumps([code, out.getvalue(),
-                          [m for m in {DEFERRED!r} if m in sys.modules]]))
+                          [m for m in {DEFERRED!r} if m in sys.modules],
+                          [m for m in {HEAVY!r} if m in sys.modules]]))
         """)
 
 
@@ -148,9 +191,10 @@ COMMAND_LOADS = [
 
 @pytest.mark.parametrize("argv, loads", COMMAND_LOADS,
                          ids=[" ".join(argv) for argv, _ in COMMAND_LOADS])
-def test_each_command_loads_what_it_runs(argv, loads):
-    code, _, loaded = run_cli(argv)
+def test_each_command_loads_what_it_runs(argv, loads, heavy_at_start):
+    code, _, loaded, heavy = run_cli(argv)
     assert (code, loaded) == (0, loads)
+    assert heavy == heavy_at_start
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("export", "--help"),
@@ -161,7 +205,7 @@ def test_help_text_reads_no_deferred_module(capsys, monkeypatch, argv):
     # cli._STRUCTURES and identities.SYMBOLS; a fresh interpreter, which
     # loads no deferred module, prints what this session's parser prints
     monkeypatch.setenv("COLUMNS", "80")
-    code, text, loaded = run_cli(argv)
+    code, text, loaded, _ = run_cli(argv)
     with pytest.raises(SystemExit):
         main(list(argv))
     assert (code, text, loaded) == (0, capsys.readouterr().out, [])

@@ -88,6 +88,13 @@ class TestAdmissibleX:
         flat = [v for pair in pairs for v in pair]
         assert list(admissible_x_twice(*flat)) == brute
 
+    @pytest.mark.parametrize("args", [(), (1,), (1, 1, 2), (2, 2, 2, 2, 2)],
+                             ids=len)
+    def test_no_pair_or_an_unpaired_value_raises_type_error(self, args):
+        # an unpaired value is not dropped, and () is no IndexError
+        with pytest.raises(TypeError, match=f"got {len(args)} arguments"):
+            admissible_x_twice(*args)
+
 
 def _sq(t):
     return SixJ.from_twice(t)
