@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from itertools import starmap
 
@@ -104,12 +105,16 @@ def _check_single_size(spins):
 
 
 def _twice_int(text) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidSpin(
-            f"cannot parse twice-value {text!r} (expected an integer)"
-        ) from None
+    # ASCII digits only: int() also reads other scripts' digits and
+    # underscores.  A minus sign passes, so that Spin names the error
+    s = text.strip()
+    if re.fullmatch(r"-?[0-9]+", s):
+        try:
+            return int(s)
+        except ValueError:
+            pass  # more digits than int() converts
+    raise InvalidSpin(
+        f"cannot parse twice-value {text!r} (expected an integer)")
 
 
 def _spin_map_arg(text, allowed) -> dict[str, Spin]:

@@ -61,13 +61,16 @@ class Spin:
 
     @classmethod
     def parse(cls, text: str) -> "Spin":
-        """Parse 'n' or 'n/2' (e.g. '2', '3/2') into a Spin."""
+        """Parse 'n' or 'n/2' (e.g. '2', '3/2') into a Spin.
+
+        n is ASCII digits only; int() would read other scripts' digits.
+        """
         s = text.strip()
-        m = re.fullmatch(r"(\d+)\s*/\s*2", s)
+        m = re.fullmatch(r"([0-9]+)\s*/\s*2", s)
         try:
             if m:
                 return cls(int(m.group(1)))
-            if re.fullmatch(r"\d+", s):
+            if re.fullmatch(r"[0-9]+", s):
                 return cls(2 * int(s))
         except ValueError:
             pass  # more digits than int() converts
@@ -388,28 +391,13 @@ def _decimal(n: int) -> str:
     return str(n) + "".join(reversed(pieces))
 
 
-# factorials below this are memoized; larger ones are computed exactly,
-# just not stored
-_FACTORIAL_MEMO_SIZE = 10_000
-_factorials = [1, 1]
-_factorials_lock = threading.Lock()
-
-
 def factorial(n: int) -> int:
-    """n!, exactly, from a memo that grows on demand.
+    """n!, exactly: math.factorial, which raises ValueError for n < 0.
 
-    The memo grows under a lock, so concurrent readers are safe.
+    Nothing is memoized; the kernel builds its factorial ratios from
+    binomials and packed exponent vectors instead.
     """
-    if n < 0:
-        raise ValueError(f"factorial of negative {n}")
-    if n < len(_factorials):
-        return _factorials[n]
-    if n >= _FACTORIAL_MEMO_SIZE:
-        return math.factorial(n)
-    with _factorials_lock:
-        while len(_factorials) <= n:
-            _factorials.append(_factorials[-1] * len(_factorials))
-    return _factorials[n]
+    return math.factorial(n)
 
 
 # Prime-exponent vectors of factorials, each packed into one int: field
@@ -418,11 +406,11 @@ def factorial(n: int) -> int:
 # the field-wise sums: a product or quotient of factorials costs a few
 # big-int additions, and its vector reads off exactly wherever every
 # field of the result lies in [0, 2**_EXPONENT_BITS).  Entries for n
-# below _FACTORIAL_MEMO_SIZE are stored, like the factorials.  A larger
-# one is built on from the nearest entry at or below it, among the
-# last stored one and the last _ABOVE_MEMO_KEEP built above the memo,
-# which are kept in place of the oldest, so a run of large arguments
-# adds only what is new.
+# below _FACTORIAL_MEMO_SIZE are stored.  A larger one is built on from
+# the nearest entry at or below it, among the last stored one and the
+# last _ABOVE_MEMO_KEEP built above the memo, which are kept in place of
+# the oldest, so a run of large arguments adds only what is new.
+_FACTORIAL_MEMO_SIZE = 10_000
 _EXPONENT_BITS = 16
 _factorial_exponents = [0, 0]
 _factorial_exponents_lock = threading.Lock()

@@ -11,42 +11,46 @@ Cimento 11 (1959) 116).  Everything below it reads only these seven.
 
 The z-sum runs along the term ratios c_{z+1}/c_z, each a quotient of
 two products of four small integers, so no term rebuilds a factorial.
-Small symbols nest it by Horner's rule.  A symbol with at least
-_SPLIT_STEPS ratio steps takes the large path instead: binary splitting
-of the same sum (Haible & Papanikolaou, 1998), whose products of big
-integers are balanced.  So does a symbol with fewer steps whose
-prefactor reaches (zmin+1)! at or above exactnum's factorial memo,
-since the large path never multiplies a factorial out.
+Small symbols nest it by Horner's rule, and the first term c_zmin, a
+product of six binomials, scales the nested bracket.  A symbol whose
+largest triad perimeter zmin = max a_i is at least _LARGE_ZMIN takes
+the large path instead: binary splitting of the same sum (Haible &
+Papanikolaou, 1998), whose products of big integers are balanced, with
+no factorial ever multiplied out.  zmin is invariant under the 144
+symmetries, so a Regge orbit takes one path, and every symbol with
+many ratio steps is large, since zmax - zmin <= zmin/3.
 
 The four triangle coefficients contribute only a denominator and a
 radicand: their product is one over D = prod_i (a_i+1)!/prod_ij
 (b_j-a_i)!, as the twelve entries b_j - a_i are the twelve triangle
 arguments.  One function builds D's packed prime-exponent vector for
 both paths from sixteen factorial vectors exactnum memoizes, with no
-prime sieve per call.  Small symbols decode it prime by prime and multiply
-the z-sum's factorial prefactor out of the factorial memo.  The large
-path keeps the prefactor as a packed exponent vector too, and splits it
-by masks into its numerator's and its denominator's exponents, as in
-the prime-factorized factorials of Johansson & Forssén (SIAM J. Sci.
-Comput. 38, 2016).  Every term of the z-sum is an integer, so the
-prefactor's denominator divides the sum exactly; what is left against
-D is a small exponent vector, reduced by one small gcd.  Each prime-power
-product is read off bit planes of its vector, squaring from the high bit
-down, with no loop per prime.  Both paths return the same triple.
+prime sieve per call.  Small symbols decode it prime by prime.  The
+large path keeps the z-sum's prefactor as a packed exponent vector too,
+and splits it by masks into its numerator's and its denominator's
+exponents, as in the prime-factorized factorials of Johansson & Forssén
+(SIAM J. Sci. Comput. 38, 2016).  Every term of the z-sum is an
+integer, so the prefactor's denominator divides the sum exactly; what
+is left against D is a small exponent vector, reduced by one small gcd.
+Each prime-power product is read off bit planes of its vector, squaring
+from the high bit down, with no loop per prime.  Both paths return the
+same triple.
 """
 
 import sys
 from array import array
 from bisect import bisect_right
 from itertools import compress
-from math import gcd, prod
+from math import comb, gcd, prod
 
-from .exactnum import (_FACTORIAL_MEMO_SIZE, ZERO_TRIPLE, _reduce, factorial,
-                       factorial_exponents, factorial_primes)
+from .exactnum import (ZERO_TRIPLE, _reduce, factorial_exponents,
+                       factorial_primes)
 
-# symbols with at least this many ratio steps zmax - zmin take the large
-# path; below it the Horner loop and the factorial memo are faster
-_SPLIT_STEPS = 100
+# symbols whose largest triad perimeter zmin is at least this take the
+# large path: the two paths cross between zmin 200 and 400, and no
+# larger switch keeps every symbol of 100 ratio steps or more on the
+# large path (zmax - zmin <= zmin/3)
+_LARGE_ZMIN = 300
 # the binary splitting runs each block of at most this many steps as
 # one plain loop
 _BLOCK = 16
@@ -79,18 +83,13 @@ def sixj_raw(ta, tb, tx, tc, td, ty):
          (tx + ta + ty + tc) // 2)
     zmin = max(a)
     zmax = min(b)
-    # the Horner loop's factorials are all memo entries when
-    # zmin + 1 < _FACTORIAL_MEMO_SIZE; above that each would be computed
-    # afresh, so thin symbols there take the large path too
-    if zmax - zmin < _PACKED_STEPS and (
-            zmax - zmin >= _SPLIT_STEPS or zmin + 1 >= _FACTORIAL_MEMO_SIZE):
+    if zmin >= _LARGE_ZMIN and zmax - zmin < _PACKED_STEPS:
         return _sixj_large(a, b)
 
-    # sum_z (-1)^z (z+1)! / (prod_i (z-a_i)! prod_j (b_j-z)!) nested from
-    # the last term down: c_{z+1}/c_z = -P(z)/Q(z), and n/d is the bracket
-    # 1 + (c_{z+1}/c_z)(1 + ...) opened at z.  d telescopes to
-    # prod_i (zmax-a_i)!/(zmin-a_i)!, so the sum is
-    # (-1)^zmin (zmin+1)! n / den with den the common denominator below.
+    # sum_z (-1)^z c_z, c_z = (z+1)!/(prod_i (z-a_i)! prod_j (b_j-z)!),
+    # nested from the last term down: c_{z+1}/c_z = -P(z)/Q(z), and n/d
+    # is the bracket 1 + (c_{z+1}/c_z)(1 + ...) opened at z, so the sum
+    # is (-1)^zmin c_zmin n / d
     a1, a2, a3, a4 = a
     b1, b2, b3 = b
     n = d = 1
@@ -100,22 +99,23 @@ def sixj_raw(ta, tb, tx, tc, td, ty):
         d *= q
     if n == 0:
         return ZERO_TRIPLE
-    num = factorial(zmin + 1) * (-n if zmin % 2 else n)
-    den = (factorial(zmax - a1) * factorial(zmax - a2)
-           * factorial(zmax - a3) * factorial(zmax - a4)
-           * factorial(b1 - zmin) * factorial(b2 - zmin)
-           * factorial(b3 - zmin))
+    # c_zmin is zmin + 1 times a multinomial, since its seven factorial
+    # arguments sum to zmin (sum a_i = sum b_j): six binomials
+    c, m = zmin + 1, zmin
+    for k in (zmin - a1, zmin - a2, zmin - a3, zmin - a4, b1 - zmin,
+              b2 - zmin):
+        c *= comb(m, k)
+        m -= k
     den2, rad = _triangle_sqrt(a, b)
-    return _reduce(num, den * den2, rad)
+    return _reduce(c * (-n if zmin % 2 else n), d * den2, rad)
 
 
 def _sixj_large(a, b):
     """sixj_raw's triple, from its Regge array (a, b), by binary splitting.
 
     The prefactor stays a packed exponent vector.  Exact for any valid
-    symbol with zmax - zmin < _PACKED_STEPS; sixj_raw calls it from
-    _SPLIT_STEPS steps up, and for fewer steps once zmin + 1 reaches the
-    factorial memo's size.
+    symbol with zmax - zmin < _PACKED_STEPS; sixj_raw calls it when zmin
+    is at least _LARGE_ZMIN.
     """
     zmin = max(a)
     zmax = min(b)

@@ -80,6 +80,24 @@ class TestSixj:
         assert code == 2 and out == ""
         assert err.startswith("spinnet: ") and "'x'" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("٣", "3", "3", "3", "3", "3"),
+        ("٣/2", "3/2", "3", "3/2", "3/2", "3"),
+        ("--twice", "٣", "3", "4", "3", "3", "4"),
+        ("--twice", "1_0", "10", "10", "10", "10", "10"),
+        ("--twice", "+2", "2", "2", "2", "2", "2"),
+    ])
+    def test_non_ascii_digits_are_usage_errors(self, capsys, argv):
+        # int() reads these as numbers; a spin argument is ASCII digits
+        code, out, err = run(capsys, "sixj", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("spinnet: cannot parse ")
+
+    def test_negative_twice_value_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sixj", "--twice", "-1", *["2"] * 5)
+        assert code == 2 and out == ""
+        assert err == "spinnet: twice-value must be non-negative, got -1\n"
+
     def test_bad_twice_p_prime_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify-pachner", "--move", "14",
                              "--twice", "--p-prime", "x", *(["2"] * 9))
@@ -615,6 +633,15 @@ GOLDEN = [
     (("verify-orth", "--twice", "--format", "json",
       "400", "400", "400", "400", "400", "400"), 0,
      "9e555403f4488cccae7d7049382c0a8bf1d488c4cd6324e6941c58feb317e759"),
+    # recorded before the kernel chose its path by zmin alone: a thin
+    # symbol at the size limit (zmin 6000, one ratio step) and a skewed
+    # one with zmin 3234 and 61 ratio steps, both on the Horner path then
+    (("sixj", "--twice", "4000", "4000", "4000", "4000", "4000", "2",
+      "--format", "json"), 0,
+     "0dfa01b59cf5e8a7791a5dd092658677e13d0a13eddc40c2ba14faaedfc11a52"),
+    (("sixj", "--twice", "1437", "1712", "3027", "1181", "2260", "1879",
+      "--format", "json"), 0,
+     "5507c21eefa738dc6714f81403b2c5335f98cce1a77f6a3de9c0431e6da14c61"),
     # recorded before the cli gave each job one code path: the json
     # records of single-instance checks, the text of the structure and
     # enumeration commands, a failing amplitude and the exports

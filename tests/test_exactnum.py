@@ -52,7 +52,11 @@ class TestSpin:
         assert Spin.parse(text).twice == twice
 
     @pytest.mark.parametrize("text", ["-1", "3/4", "x", "1.5", "",
-                                      "9" * 5000, "9" * 5000 + "/2"])
+                                      "9" * 5000, "9" * 5000 + "/2",
+                                      # digits outside ASCII, and
+                                      # underscores, which int() reads
+                                      "\u0663", "\u0663/2", "\uff11",
+                                      "1_0", "1_0/2", "+2"])
     def test_parse_rejects(self, text):
         with pytest.raises(InvalidSpin):
             Spin.parse(text)
@@ -309,7 +313,6 @@ class TestFactorial:
         size = exactnum._FACTORIAL_MEMO_SIZE
         for k in (0, 1, 7):
             assert factorial(size + k) == math.factorial(size + k)
-        assert len(exactnum._factorials) <= size
 
     def test_negative(self):
         with pytest.raises(ValueError):

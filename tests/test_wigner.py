@@ -259,6 +259,17 @@ def _steps(t):
     return min(b) - max(a)
 
 
+def _zmin(t):
+    # the largest triad perimeter, on which sixj_raw picks its path
+    return max(_racah_args(t)[0])
+
+
+def _large(t):
+    # whether sixj_raw sends t to the large path
+    return (_zmin(t) >= kernel._LARGE_ZMIN
+            and _steps(t) < kernel._PACKED_STEPS)
+
+
 def _regular_with_steps(s):
     # two symbols with exactly s ratio steps: {s s s; s s s} in spins,
     # and one with half-integer a, b, c, d
@@ -326,27 +337,36 @@ class TestLargePath:
                     == horner_sixj_raw(*t)), t
 
     def test_path_switches_at_the_size_constant(self, monkeypatch):
+        # zmin is _LARGE_ZMIN - 1 or _LARGE_ZMIN, whatever the number of
+        # ratio steps: thin symbols with 0 to 3 steps and regular ones
+        # with 99 and 100
         large = kernel._sixj_large
         ran = []
         monkeypatch.setattr(kernel, "_sixj_large",
                             lambda *t: ran.append(t) or large(*t))
-        below = _regular_with_steps(kernel._SPLIT_STEPS - 1)
-        above = _regular_with_steps(kernel._SPLIT_STEPS)
-        for t in below + above:
+        top = kernel._LARGE_ZMIN
+        symbols = [t for s in range(4)
+                   for t in _thin_with_steps(top - 1 - s, s)]
+        symbols += _regular_with_steps(99) + _regular_with_steps(100)
+        assert {_zmin(t) for t in symbols} >= {top - 1, top}
+        for t in symbols:
             assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
+        above = [t for t in symbols if _zmin(t) >= top]
+        assert 0 < len(above) < len(symbols)
         assert ran == [_racah_args(t) for t in above]
         # from _PACKED_STEPS up the Horner path runs again; its real
         # value puts the symbols past twice 32000, so it is lowered here
-        monkeypatch.setattr(kernel, "_PACKED_STEPS", kernel._SPLIT_STEPS + 1)
+        monkeypatch.setattr(kernel, "_PACKED_STEPS", 101)
         ran.clear()
-        beyond = _regular_with_steps(kernel._SPLIT_STEPS + 1)
+        above = _regular_with_steps(100)
+        beyond = _regular_with_steps(101)
         for t in above + beyond:
             assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
         assert ran == [_racah_args(t) for t in above]
 
     def test_seeded_symbols_200_to_4000(self):
         symbols = _seeded_200_to_4000()
-        large = sum(_steps(t) >= kernel._SPLIT_STEPS for t in symbols)
+        large = sum(map(_large, symbols))
         assert 0 < large < len(symbols)
         for t in symbols:
             assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
@@ -427,6 +447,7 @@ class TestPrefactorAgainstTheGcdPath:
 
     @pytest.mark.parametrize("steps", [99, 100, 101])
     def test_across_the_split_switch(self, steps):
+        # 99 to 101 steps; zmin is 297 to 304, across _LARGE_ZMIN
         symbols = _regular_with_steps(steps)
         assert {_steps(t) for t in symbols} == {steps}
         self.assert_matches_gcd_path(symbols)
@@ -435,7 +456,7 @@ class TestPrefactorAgainstTheGcdPath:
     def test_thin_past_the_memo(self, twice):
         symbols = [t for s in (0, 1, 2, 99)
                    for t in _thin_with_steps(twice, s)]
-        # zmin + 1 at or past the factorial memo's size
+        # zmin + 1 at or past the exponent-vector memo's size
         assert min(max(_racah_args(t)[0]) for t in symbols) + 1 >= 10_000
         self.assert_matches_gcd_path(symbols)
 
@@ -467,8 +488,7 @@ class TestReggeArray:
 
     def test_seeded_symbols_200_to_4000(self):
         symbols = _seeded_200_to_4000()
-        assert {_steps(t) >= kernel._SPLIT_STEPS for t in symbols} == {
-            False, True}
+        assert set(map(_large, symbols)) == {False, True}
         self.assert_shuffles_agree(symbols, 6)
 
 
@@ -481,9 +501,9 @@ def _thin_with_steps(twice, s):
 
 
 class TestThinAboveTheMemo:
-    """Symbols with few steps whose (zmin+1)! lies past the factorial
-    memo take the large path, which never multiplies a factorial out;
-    their triples equal the Horner reference."""
+    """Symbols with few steps whose zmin + 1 lies past the exponent-vector
+    memo take the large path, as every symbol with zmin >= _LARGE_ZMIN
+    does; their triples equal the Horner reference."""
 
     @pytest.mark.parametrize("twice", [9998, 10001, 12000])
     @pytest.mark.parametrize("steps", [0, 1, 2, 99])
@@ -492,18 +512,19 @@ class TestThinAboveTheMemo:
             assert _steps(t) == steps
             assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
 
-    def test_path_switches_at_the_memo(self, monkeypatch):
+    def test_one_path_across_the_memo(self, monkeypatch):
         large = kernel._sixj_large
         ran = []
         monkeypatch.setattr(kernel, "_sixj_large",
                             lambda *t: ran.append(t) or large(*t))
-        # zmin + 1 is 9999 and 10000: one below the memo's size, one at it
+        # zmin + 1 is 9999 and 10000: one below the memo's size, one at
+        # it, and both on the large path
         below = (9998, 9998, 0, 9998, 9998, 0)
         at = (9998, 9998, 2, 9998, 9998, 2)
         assert exactnum._FACTORIAL_MEMO_SIZE == 10_000
         for t in (below, at):
             assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
-        assert ran == [_racah_args(at)]
+        assert ran == [_racah_args(below), _racah_args(at)]
 
 
 def _column_residual(t, image=None):
@@ -551,37 +572,41 @@ class TestSchultenGordonOracle:
         assert schulten_gordon_residual(t, below, -at, above) != 0
         assert schulten_gordon_residual(t, below, 2 * at, above) != 0
 
-    @pytest.mark.parametrize("column", [(400, 400, 400, 400, 400),
-                                        (401, 401, 401, 401, 400)])
+    @pytest.mark.parametrize("column", [(200, 200, 200, 200, 20),
+                                        (201, 201, 201, 201, 40)])
     def test_across_the_split_switch(self, column, monkeypatch):
-        # on these columns x has min(x, 2j - x) ratio steps, so the centres
-        # below put one or two of their three symbols on each path
+        # zmin = (a + b + x)/2 along these columns once x is large, so
+        # two centres put one or two of their three symbols on each path
         large = kernel._sixj_large
         ran = []
         monkeypatch.setattr(kernel, "_sixj_large",
                             lambda *t: ran.append(t) or large(*t))
         ta, tb, tc, td, ty = column
-        for tx in (2 * kernel._SPLIT_STEPS - 2, 2 * kernel._SPLIT_STEPS):
-            t = (ta, tb, tx, tc, td, ty)
-            ran.clear()
-            assert _column_residual(t) == 0, t
-            steps = [_steps((ta, tb, v, tc, td, ty))
+        centres = 0
+        for tx in admissible_x_twice(ta, tb, tc, td)[1:-1]:
+            zmins = [_zmin((ta, tb, v, tc, td, ty))
                      for v in (tx - 2, tx, tx + 2)]
-            assert min(steps) < kernel._SPLIT_STEPS <= max(steps)
-            assert 0 < len(ran) < 3
+            if min(zmins) < kernel._LARGE_ZMIN <= max(zmins):
+                t = (ta, tb, tx, tc, td, ty)
+                ran.clear()
+                assert _column_residual(t) == 0, t
+                assert 0 < len(ran) < 3
+                centres += 1
+        assert centres == 2
 
     @pytest.mark.parametrize("t", [(9998, 9998, 2, 9998, 9998, 0),
                                    (9997, 9997, 4, 9997, 9997, 0)])
     def test_across_the_memo_switch(self, t, monkeypatch):
-        # no ratio steps; zmin + 1 is 9999, 10000 and 10001 along x, so
-        # only the first symbol takes the Horner path
+        # no ratio steps; zmin + 1 is 9999, 10000 and 10001 along x,
+        # across the exponent-vector memo's size, and all three symbols
+        # take the large path
         large = kernel._sixj_large
         ran = []
         monkeypatch.setattr(kernel, "_sixj_large",
                             lambda *t: ran.append(t) or large(*t))
         assert exactnum._FACTORIAL_MEMO_SIZE == 10_000
         assert _column_residual(t) == 0
-        assert len(ran) == 2
+        assert len(ran) == 3
 
     def test_seeded_columns_200_to_1200(self):
         # near-regular and skewed symbols at the sizes of the sixj_cold
@@ -601,7 +626,7 @@ class TestSchultenGordonOracle:
             xs = admissible_x_twice(ta, tb, tc, td)
             if len(xs) > 2:
                 symbols.append((ta, tb, rng.choice(xs[1:-1]), tc, td, ty))
-        assert sum(_steps(t) >= kernel._SPLIT_STEPS for t in symbols) >= 8
+        assert sum(map(_large, symbols)) >= 8
         for t in symbols:
             assert _column_residual(t) == 0, t
             assert _column_residual(t, rng.choice(regge).apply_twice) == 0, t
@@ -614,6 +639,125 @@ class TestSchultenGordonOracle:
             assert _interior(t), t
             assert _column_residual(t) == 0, t
             assert _column_residual(t, rng.choice(regge).apply_twice) == 0, t
+
+
+def _thin_one_small(rng, twice):
+    # a, b, c, d and x near twice, y among the three smallest it admits:
+    # few ratio steps and a large multinomial prefactor
+    while True:
+        ta, tb, tx, tc, td, _ = _near_regular(rng, twice, 1)[0]
+        ys = admissible_x_twice(tb, tc, ta, td)
+        if ys:
+            return ta, tb, tx, tc, td, rng.choice(ys[:3])
+
+
+class TestAcrossTheZminSwitch:
+    """Seeded symbols of four shapes with zmin within 40 of _LARGE_ZMIN,
+    on both sides of it: each takes the path its zmin names, equals the
+    Horner reference, and satisfies the column recurrence."""
+
+    SHAPES = {
+        "near-regular": lambda rng, z: _near_regular(rng, 2 * z // 3, 1)[0],
+        "skewed": lambda rng, z: _skewed(rng, rng.randint(z // 2, z)),
+        "thin": lambda rng, z: _thin_one_small(rng, 2 * z // 3),
+        "two small spins": lambda rng, z: _thin_with_steps(
+            z - 3, rng.randrange(4))[rng.randrange(2)],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_seeded_symbols(self, shape, monkeypatch):
+        rng = random.Random(300)
+        top = kernel._LARGE_ZMIN
+        below, above = [], []
+        while len(below) < 4 or len(above) < 4:
+            t = self.SHAPES[shape](rng, rng.randint(top - 40, top + 40))
+            if top - 40 <= _zmin(t) < top and len(below) < 4:
+                below.append(t)
+            elif top <= _zmin(t) < top + 40 and len(above) < 4:
+                above.append(t)
+        large = kernel._sixj_large
+        ran = []
+        monkeypatch.setattr(kernel, "_sixj_large",
+                            lambda *t: ran.append(t) or large(*t))
+        for t in below + above:
+            assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
+        assert ran == [_racah_args(t) for t in above]
+        interior = [t for t in below + above if _interior(t)]
+        assert len(interior) >= 4
+        for t in interior:
+            assert _column_residual(t) == 0, t
+
+
+def _from_regge(a, b):
+    # the symbol, in twice-values, whose Regge array is (a, b): each
+    # entry is a sum of two triangle arguments b_j - a_i
+    a1, a2, a3, a4 = a
+    b1, b2, b3 = b
+    return (a1 + a2 - b2, a1 + a3 - b3, a1 + a4 - b1,
+            a3 + a4 - b2, a2 + a4 - b3, a2 + a3 - b1)
+
+
+def _one_step(u, v):
+    # the Regge array with u_i = zmin + 1 - a_i (u_4 = 1) and
+    # v_j = b_j - zmin (v_1 = 1), from u = (u1, u2, u3), v = (v2, v3):
+    # sum a = sum b makes zmin = u1 + u2 + u3 + v2 + v3 - 2
+    zmin = sum(u) + sum(v) - 2
+    a = tuple(zmin + 1 - ui for ui in (*u, 1))
+    b = tuple(zmin + vj for vj in (1, *v))
+    t = _from_regge(a, b)
+    assert _racah_args(t) == (a, b)
+    return zmin, t
+
+
+class TestOneStepZeros:
+    """A symbol with one ratio step is zero exactly when its two terms
+    cancel: (u1 + u2 + u3 + v2 + v3) v2 v3 = u1 u2 u3.  Solving for u3
+    gives exact zeros at any size, far beyond every acceptance grid; the
+    neighbours u3 - 1 and u3 + 1 are not zeros.  All take the large
+    path."""
+
+    # (u1, u2, v2, v3); zmin from 310 to 9761201
+    SEEDS = [(12, 13, 11, 12), (9, 59, 27, 17), (49, 22, 33, 31),
+             (88, 65, 63, 88), (84, 45, 93, 40), (91, 109, 38, 260),
+             (610, 936, 850, 670), (538, 3799, 1334, 1531)]
+
+    @staticmethod
+    def solve(u1, u2, v2, v3):
+        # the u3 that cancels the two terms
+        top = (u1 + u2 + v2 + v3) * v2 * v3
+        u3, rest = divmod(top, u1 * u2 - v2 * v3)
+        assert rest == 0
+        return u3
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_zeros(self, seed, monkeypatch):
+        u1, u2, v2, v3 = seed
+        zmin, t = _one_step((u1, u2, self.solve(*seed)), (v2, v3))
+        assert _steps(t) == 1
+        assert _zmin(t) == zmin >= kernel._LARGE_ZMIN
+        assert all(triad_valid_twice(*triad) for triad in _triads(t))
+        large = kernel._sixj_large
+        ran = []
+        monkeypatch.setattr(kernel, "_sixj_large",
+                            lambda *a: ran.append(a) or large(*a))
+        assert kernel.sixj_raw(*t) == (0, 1, 1)
+        assert ran == [_racah_args(t)]
+
+    @pytest.mark.parametrize("seed", SEEDS[:5])
+    def test_near_misses(self, seed, monkeypatch):
+        u1, u2, v2, v3 = seed
+        u3 = self.solve(*seed)
+        large = kernel._sixj_large
+        ran = []
+        monkeypatch.setattr(kernel, "_sixj_large",
+                            lambda *a: ran.append(a) or large(*a))
+        for miss in (u3 - 1, u3 + 1):
+            zmin, t = _one_step((u1, u2, miss), (v2, v3))
+            assert zmin <= 20_000 and _steps(t) == 1
+            value = kernel.sixj_raw(*t)
+            assert value[0] != 0
+            assert value == horner_sixj_raw(*t), t
+        assert len(ran) == 2
 
 
 def _clear_spinnet_caches():
@@ -666,8 +810,13 @@ class TestOrbitCache:
             twice = rng.randint(200, 2000)
             symbols += _near_regular(rng, twice, 1) + [_skewed(rng, twice)]
             symbols += _thin_with_steps(twice, rng.randrange(6))
-        paths = {_steps(t) >= kernel._SPLIT_STEPS for t in symbols}
-        assert paths == {False, True}
+        # every draw above has zmin >= 300, so the Horner path gets
+        # symbols of its own, just below the switch
+        for s in range(6):
+            twice = kernel._LARGE_ZMIN - 1 - s
+            symbols += _near_regular(rng, 2 * twice // 3, 1)
+            symbols += [_skewed(rng, twice), _thin_with_steps(twice, s)[0]]
+        assert set(map(_large, symbols)) == {False, True}
         _clear_spinnet_caches()
         for t in symbols:
             assert wigner._sixj_cached(t) == kernel.sixj_raw(*t), t
