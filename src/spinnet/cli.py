@@ -104,17 +104,17 @@ def _check_single_size(spins):
                 f"{MAX_SINGLE_TWICE}")
 
 
-def _twice_int(text) -> int:
+def _twice_int(text, what="twice-value", error=InvalidSpin) -> int:
     # ASCII digits only: int() also reads other scripts' digits and
-    # underscores.  A minus sign passes, so that Spin names the error
+    # underscores.  A minus sign passes, so that the caller names the
+    # error
     s = text.strip()
     if re.fullmatch(r"-?[0-9]+", s):
         try:
             return int(s)
         except ValueError:
             pass  # more digits than int() converts
-    raise InvalidSpin(
-        f"cannot parse twice-value {text!r} (expected an integer)")
+    raise error(f"cannot parse {what} {text!r} (expected an integer)")
 
 
 def _spin_map_arg(text, allowed) -> dict[str, Spin]:
@@ -182,7 +182,9 @@ def verify_grid(max_twice: int, which: str, literal_form: bool = False,
 
 def _verify_all(args, out, which, literal_form=False):
     """Run one grid; write the records as they come (json), then the summary."""
-    records = verify_grid(args.max_twice, which, literal_form, args.ceiling)
+    records = verify_grid(
+        _twice_int(args.max_twice, "--max-twice", SpinnetError), which,
+        literal_form, _twice_int(args.ceiling, "--ceiling", SpinnetError))
     fmt = args.format
     if args.sorted and fmt == "json":
         records = sorted(records, key=lambda r: sorted(r["instance"].items()))
@@ -454,9 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     def grid_opts(p, max_twice_help=None):
         p.add_argument("--all", action="store_true",
                        help="run the exhaustive grid")
-        p.add_argument("--max-twice", type=int, default=2,
-                       help=max_twice_help)
-        p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+        # read by _twice_int when the grid runs, so that a malformed
+        # value is one usage line
+        p.add_argument("--max-twice", default="2", help=max_twice_help)
+        p.add_argument("--ceiling", default=str(DEFAULT_CEILING))
         p.add_argument("--sorted", action="store_true",
                        help="canonical record order")
 

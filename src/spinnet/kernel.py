@@ -14,11 +14,16 @@ two products of four small integers, so no term rebuilds a factorial.
 Small symbols nest it by Horner's rule, and the first term c_zmin, a
 product of six binomials, scales the nested bracket.  A symbol whose
 largest triad perimeter zmin = max a_i is at least _LARGE_ZMIN takes
-the large path instead: binary splitting of the same sum (Haible &
+the large path instead: binary splitting of the same bracket (Haible &
 Papanikolaou, 1998), whose products of big integers are balanced, with
-no factorial ever multiplied out.  zmin is invariant under the 144
-symmetries, so a Regge orbit takes one path, and every symbol with
-many ratio steps is large, since zmax - zmin <= zmin/3.
+no factorial ever multiplied out.  Each merge first cancels the factor
+its left half's ratio numerator shares with its right half's ratio
+denominator, as in the factor-reduced binary splitting of Cheng,
+Hanrot, Thomé, Zima & Zimmermann (ISSAC 2007); the ratios are products
+of runs of consecutive integers, so that factor holds most of their
+bits.  zmin is invariant under the 144 symmetries, so a Regge orbit
+takes one path, and every symbol with many ratio steps is large, since
+zmax - zmin <= zmin/3.
 
 The four triangle coefficients contribute only a denominator and a
 radicand: their product is one over D = prod_i (a_i+1)!/prod_ij
@@ -26,15 +31,15 @@ radicand: their product is one over D = prod_i (a_i+1)!/prod_ij
 arguments.  One function builds D's packed prime-exponent vector for
 both paths from sixteen factorial vectors exactnum memoizes, with no
 prime sieve per call.  Small symbols decode it prime by prime.  The
-large path keeps the z-sum's prefactor as a packed exponent vector too,
-and splits it by masks into its numerator's and its denominator's
-exponents, as in the prime-factorized factorials of Johansson & Forssén
-(SIAM J. Sci. Comput. 38, 2016).  Every term of the z-sum is an
-integer, so the prefactor's denominator divides the sum exactly; what
-is left against D is a small exponent vector, reduced by one small gcd.
-Each prime-power product is read off bit planes of its vector, squaring
-from the high bit down, with no loop per prime.  Both paths return the
-same triple.
+large path subtracts ceil(e/2) of each exponent e in it from c_zmin's
+packed exponent vector: one signed vector of the value's prime
+exponents, whose positive fields give the numerator's and whose
+negative fields the denominator's prime powers, as in the
+prime-factorized factorials of Johansson & Forssén (SIAM J. Sci.
+Comput. 38, 2016); one gcd against the bracket's reduced n/d is left.
+Each prime-power product is read off bit planes of its vector,
+squaring from the high bit down, with no loop per prime.  Both paths
+return the same triple.
 """
 
 import sys
@@ -47,25 +52,13 @@ from .exactnum import (ZERO_TRIPLE, _reduce, factorial_exponents,
                        factorial_primes)
 
 # symbols whose largest triad perimeter zmin is at least this take the
-# large path: the two paths cross between zmin 200 and 400, and no
+# large path: the two paths cross between zmin 200 and 300, and no
 # larger switch keeps every symbol of 100 ratio steps or more on the
 # large path (zmax - zmin <= zmin/3)
 _LARGE_ZMIN = 300
 # the binary splitting runs each block of at most this many steps as
 # one plain loop
 _BLOCK = 16
-# The large path decodes the prefactor's exponent vector with this bias
-# in every 16-bit field.  With S = zmax - zmin and m_k the seven
-# factorial arguments of the denominator (each at most zmin, and
-# summing to 4*zmax - 3*zmin), Legendre's formula gives p's exponent in
-# (zmin+1)!/prod m_k! as (1 - 4*S - s(zmin+1) + sum s(m_k))/(p - 1),
-# s the base-p digit sum, at most p - 1 per digit.  So the exponent
-# lies above -4*S - 36 and at most 1 + 7*36 = 253 whenever zmin < 2**36
-# (beyond that (zmin+1)! alone has over 2**41 bits, so no path can
-# evaluate the symbol): every biased field lies in [0, 2**16) for
-# S < _PACKED_STEPS.  Larger symbols keep the Horner path.
-_BIAS = 0xFF00
-_PACKED_STEPS = 16_000
 
 
 def backend() -> str:
@@ -83,7 +76,7 @@ def sixj_raw(ta, tb, tx, tc, td, ty):
          (tx + ta + ty + tc) // 2)
     zmin = max(a)
     zmax = min(b)
-    if zmin >= _LARGE_ZMIN and zmax - zmin < _PACKED_STEPS:
+    if zmin >= _LARGE_ZMIN:
         return _sixj_large(a, b)
 
     # sum_z (-1)^z c_z, c_z = (z+1)!/(prod_i (z-a_i)! prod_j (b_j-z)!),
@@ -113,20 +106,25 @@ def sixj_raw(ta, tb, tx, tc, td, ty):
 def _sixj_large(a, b):
     """sixj_raw's triple, from its Regge array (a, b), by binary splitting.
 
-    The prefactor stays a packed exponent vector.  Exact for any valid
-    symbol with zmax - zmin < _PACKED_STEPS; sixj_raw calls it when zmin
-    is at least _LARGE_ZMIN.
+    Exact for any valid symbol; sixj_raw calls it when zmin is at least
+    _LARGE_ZMIN.
     """
     zmin = max(a)
     zmax = min(b)
-    n = _zsum(zmin, zmax, a, b)
+    n, d = _zsum(zmin, zmax, a, b)
     if n == 0:
         return ZERO_TRIPLE
 
-    # the sum is (-1)^zmin F n with F = (zmin+1)!/(prod_i (zmax-a_i)!
-    # prod_j (b_j-zmin)!), and the triangle coefficients give sqrt(1/D):
-    # p's exponent in the value is f - ceil(e/2), f its exponent in F
-    # and e in D, and p joins the radicand when e is odd
+    # the sum is (-1)^zmin c_zmin n/d, c_zmin = (zmin+1)!/(prod_i
+    # (zmin-a_i)! prod_j (b_j-zmin)!), and the triangle coefficients give
+    # sqrt(1/D): p's exponent in the value is k = f - ceil(e/2), f its
+    # exponent in c_zmin and e in D, and p joins the radicand when e is
+    # odd.  The seven factorial arguments of c_zmin sum to zmin, so by
+    # Legendre's formula f = (1 - s(zmin+1) + sum s(m))/(p - 1), s the
+    # base-p digit sum: 0 <= f <= 7*36 while zmin < 2**36 (beyond that
+    # (zmin+1)! alone has over 2**41 bits).  With ceil(e/2) < 2**9 (see
+    # _triangle_vector), every field of k biased by 0x8000 lies in
+    # [0, 2**16), and has bit 15 set exactly where k >= 0
     top = zmin + 1
     primes = factorial_primes(top)
     count = bisect_right(primes, top)
@@ -134,36 +132,19 @@ def _sixj_large(a, b):
     ones = int.from_bytes((1).to_bytes(2, sys.byteorder) * count,
                           sys.byteorder)
     fe = factorial_exponents
-    f_vec = (fe(top) - fe(zmax - a[0]) - fe(zmax - a[1]) - fe(zmax - a[2])
-             - fe(zmax - a[3]) - fe(b[0] - zmin) - fe(b[1] - zmin)
-             - fe(b[2] - zmin) + _BIAS * ones)
-    # f <= 253, so a field holds f >= 0 exactly when its top byte is 0xFF,
-    # and then its low byte is f; fneg holds -f where f < 0
-    pos = ((((f_vec >> 8) & (0xFF * ones)) + ones) >> 8) & ones
-    neg = ones - pos
-    fpos = f_vec & (0xFF * pos)
-    fneg = _BIAS * neg - (f_vec & (0xFFFF * neg))
     d_vec = _triangle_vector(a, b)
-    # n F = sum_z c_z with every term c_z = (z+1)!/(prod_i (z-a_i)!
-    # prod_j (b_j-z)!) an integer, its seven arguments summing to z; F's
-    # denominator A = prod p^fneg is prime to its numerator, so A divides
-    # n, and the value is (-1)^zmin (n/A) sqrt(rad) over prod p^k with
-    # k = ceil(e/2) - fpos, both terms below 2**9 by the bounds of
-    # _triangle_vector and _BIAS.  Biased by 0x8000, a field of k has bit
-    # 15 set exactly where k >= 0: those fields give the denominator, the
-    # others the numerator's factor prod p^-k.  rad is the primes with e
-    # odd
-    quotient = n // _prime_powers(primes, fneg, ones)
-    net = ((((d_vec + ones) >> 1) & (0x7FFF * ones)) + 0x8000 * ones
-           - fpos)
-    down = (net >> 15) & ones
-    up = ones - down
-    den = _prime_powers(primes, net & (0x7FFF * down), ones)
-    g = gcd(quotient, den)
-    num = quotient // g * _prime_powers(
-        primes, 0x8000 * up - (net & (0xFFFF * up)), ones)
+    net = (fe(top) - fe(zmin - a[0]) - fe(zmin - a[1]) - fe(zmin - a[2])
+           - fe(zmin - a[3]) - fe(b[0] - zmin) - fe(b[1] - zmin)
+           - fe(b[2] - zmin) + 0x8000 * ones
+           - (((d_vec + ones) >> 1) & (0x7FFF * ones)))
+    up = (net >> 15) & ones
+    down = ones - up
+    num = n * _prime_powers(primes, net & (0x7FFF * up), ones)
+    den = d * _prime_powers(primes, 0x8000 * down - (net & (0xFFFF * down)),
+                            ones)
+    g = gcd(num, den)
     rad = _plane_product(primes, d_vec & ones)
-    return (-num if zmin % 2 else num), den // g, rad
+    return (-num if zmin % 2 else num) // g, den // g, rad
 
 
 def _prime_powers(primes, vec, ones):
@@ -190,13 +171,17 @@ def _plane_product(primes, plane):
 
 
 def _zsum(zmin, zmax, a, b):
-    """The Horner loop's n: Q + T over the ratio steps z in [zmin, zmax).
+    """(n, d), n/d the Horner loop's bracket over the steps in [zmin, zmax).
 
     Step z has ratio -p(z)/q(z), p(z) = (z+2) prod_j (b_j-z) and
-    q(z) = prod_i (z+1-a_i).  Over a run of steps, P = prod -p,
-    Q = prod q and T/Q is the sum of the partial ratio products, so
-    T/Q + 1 is the z-sum over its first term; two adjacent runs combine
-    as (P1 P2, Q1 Q2, T1 Q2 + P1 T2).
+    q(z) = prod_i (z+1-a_i).  A run of steps is (P, Q, T) with P/Q its
+    ratio product and T/Q the sum of its partial ratio products, so
+    1 + T/Q is the z-sum over its first term.  Two adjacent runs combine
+    as (P1 P2, Q1 Q2, T1 Q2 + P1 T2), with g = gcd(P1, Q2) first
+    divided out of P1 and Q2, as in factor-reduced binary splitting
+    (Cheng, Hanrot, Thomé, Zima & Zimmermann, ISSAC 2007): p and q are
+    products of runs of consecutive integers, so g holds most of the
+    bits of both.  d divides prod_i (zmax-a_i)!/(zmin-a_i)!.
     """
     a1, a2, a3, a4 = a
     b1, b2, b3 = b
@@ -214,13 +199,13 @@ def _zsum(zmin, zmax, a, b):
         mid = (lo + hi) // 2
         p1, q1, t1 = split(lo, mid)
         p2, q2, t2 = split(mid, hi)
+        g = gcd(p1, q2)
+        p1 //= g
+        q2 //= g
         return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
-    # Q + T of the whole range, without its unused P
-    mid = (zmin + zmax) // 2
-    p1, q1, t1 = split(zmin, mid)
-    _, q2, t2 = split(mid, zmax)
-    return (q1 + t1) * q2 + p1 * t2
+    _, q, t = split(zmin, zmax)
+    return q + t, q
 
 
 def _triangle_vector(a, b):

@@ -16,14 +16,18 @@ the packed factorial exponent vectors of spinnet.exactnum.
 horner_sixj_raw is the kernel's former evaluation for every size, the
 Horner z-sum and the multiplied-out factorial prefactor, with the
 triangle coefficients by Legendre's formula: the exact reference for
-the kernel's large path (binary splitting and a packed prefactor),
-whose triples must equal it.
-gcd_prefactor_triple is the large path's former prefactor step: from the
-kernel's z-sum n it reads the prefactor's and the triangle part's
+the kernel's large path (factor-reduced binary splitting and one
+signed exponent vector), whose triples must equal it.
+unreduced_zsum is the large path's former z-sum: binary splitting with
+no factor cancelled at a merge, so the Horner loop's bracket is its n
+over the full Q = prod_i (zmax-a_i)!/(zmin-a_i)!; the reference for the
+reduced (n, d) of spinnet.kernel._zsum.
+gcd_prefactor_triple is the large path's former prefactor step: from
+that unreduced n it reads the prefactor's and the triangle part's
 exponents off the packed factorial vectors one prime at a time, builds
 the numerator and denominator prime powers with balanced products and
-reduces by gcd(n, denominator), as the old-path reference for the bit
-planes and exact division of spinnet.kernel._sixj_large.
+reduces by gcd(n, denominator), as the old-path reference for the
+signed exponent vector and bit planes of spinnet.kernel._sixj_large.
 legendre_prefactor_denominator gives the denominator of that prefactor
 by Legendre's formula.
 sixj_or_zero_twice, the former library helper returning exact zero off
@@ -60,7 +64,7 @@ from spinnet.wigner import (invalid_triads_twice, sixj_value_twice,
                             triad_valid_twice)
 
 __all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum",
-           "horner_sixj_raw", "gcd_prefactor_triple",
+           "horner_sixj_raw", "unreduced_zsum", "gcd_prefactor_triple",
            "legendre_prefactor_denominator", "sixj_or_zero_twice",
            "split_mul", "split_add", "orthogonality_sides_split",
            "pentagon_sides_split", "pachner_14_sides_split",
@@ -246,15 +250,21 @@ def horner_sixj_raw(ta, tb, tx, tc, td, ty):
     return num // g, den // g, rad
 
 
+def _regge_array(t6):
+    # the four triad perimeters a_i and the three four-spin sums b_j
+    ta, tb, tx, tc, td, ty = t6
+    return ((ta + tb + tx) // 2, (ta + td + ty) // 2,
+            (tc + tb + ty) // 2, (tc + td + tx) // 2,
+            (ta + tb + tc + td) // 2, (tb + tx + td + ty) // 2,
+            (tx + ta + ty + tc) // 2)
+
+
 def _prefactor_args(t6):
     # zmin, and the arguments of the z-sum's prefactor
     # F = (zmin+1)!/(prod_i (zmax-a_i)! prod_j (b_j-zmin)!): zmin + 1,
     # then the seven of its denominator
-    ta, tb, tx, tc, td, ty = t6
-    a = ((ta + tb + tx) // 2, (ta + td + ty) // 2,
-         (tc + tb + ty) // 2, (tc + td + tx) // 2)
-    b = ((ta + tb + tc + td) // 2, (tb + tx + td + ty) // 2,
-         (tx + ta + ty + tc) // 2)
+    regge = _regge_array(t6)
+    a, b = regge[:4], regge[4:]
     zmin, zmax = max(a), min(b)
     return zmin, (zmin + 1, *(zmax - x for x in a), *(x - zmin for x in b))
 
@@ -269,12 +279,42 @@ def _balanced_product(factors):
     return factors[0] if factors else 1
 
 
+def unreduced_zsum(t6):
+    """n of t6, the Horner loop's bracket times its full Q, unreduced.
+
+    Step z has ratio -p(z)/q(z), p(z) = (z+2) prod_j (b_j-z) and
+    q(z) = prod_i (z+1-a_i).  Over a run of steps, P = prod -p,
+    Q = prod q and T/Q is the sum of the partial ratio products; two
+    adjacent runs combine as (P1 P2, Q1 Q2, T1 Q2 + P1 T2), and Q + T of
+    the whole range is n.
+    """
+    a1, a2, a3, a4, b1, b2, b3 = _regge_array(t6)
+
+    def split(lo, hi):
+        if hi - lo <= 16:
+            p = q = 1
+            t = 0
+            for z in range(lo, hi):
+                p *= -(z + 2) * (b1 - z) * (b2 - z) * (b3 - z)
+                s = (z + 1 - a1) * (z + 1 - a2) * (z + 1 - a3) * (z + 1 - a4)
+                q *= s
+                t = t * s + p
+            return p, q, t
+        mid = (lo + hi) // 2
+        p1, q1, t1 = split(lo, mid)
+        p2, q2, t2 = split(mid, hi)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+    _, q, t = split(max(a1, a2, a3, a4), min(b1, b2, b3))
+    return q + t
+
+
 # the former large path's bias of the prefactor's 16-bit fields
 _GCD_PATH_BIAS = 0xFF00
 
 
 def gcd_prefactor_triple(t6, n):
-    """The large path's former (num, den, rad) of t6 from its z-sum n.
+    """The large path's former (num, den, rad) of t6 from unreduced_zsum.
 
     The value is (-1)^zmin F n sqrt(1/D), F the z-sum's factorial
     prefactor and D the product of the four triangle denominators.  p's

@@ -325,6 +325,20 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"spinnet: max twice-value {max_twice} is negative\n"
 
+    @pytest.mark.parametrize("option, value", [
+        ("--max-twice", "\u0661"), ("--max-twice", "0_1"),
+        ("--max-twice", "+1"), ("--max-twice", "abc"),
+        ("--ceiling", "\u0663"), ("--ceiling", "1_0")])
+    def test_malformed_grid_integers_are_usage_errors(self, capsys, option,
+                                                      value):
+        # int() reads other scripts' digits, underscores and a plus sign;
+        # a grid bound is ASCII digits, a minus sign at most
+        argv = ["verify-orth", "--all", "--max-twice", "1", option, value]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (f"spinnet: cannot parse {option} {value!r} "
+                       "(expected an integer)\n")
+
     def test_verify_grid_pachner_14(self):
         records = list(verify_grid(1, "pachner-14"))
         assert records and all(r["equal"] for r in records)
@@ -642,6 +656,17 @@ GOLDEN = [
     (("sixj", "--twice", "1437", "1712", "3027", "1181", "2260", "1879",
       "--format", "json"), 0,
      "5507c21eefa738dc6714f81403b2c5335f98cce1a77f6a3de9c0431e6da14c61"),
+    # recorded before the large path cancelled a common factor at each
+    # merge of its binary splitting: near-regular symbols at twice about
+    # 1200, the largest of the sixj_cold benchmark, one with integer
+    # spins (zmin 1806, 595 ratio steps) and one with half-integer a, b,
+    # c, d (zmin 1802, 597 ratio steps)
+    (("sixj", "--twice", "1200", "1204", "1198", "1202", "1196", "1206",
+      "--format", "json"), 0,
+     "51769a72d81b2743c33618333f1b12f3da6afc34f19d42133a4578e38fa05558"),
+    (("sixj", "--twice", "1201", "1199", "1200", "1203", "1197", "1202",
+      "--format", "json"), 0,
+     "6d82423c84bb25af0870150a0c34be0b4bd66260a0ce30d2e4d7590f6b624dab"),
     # recorded before the cli gave each job one code path: the json
     # records of single-instance checks, the text of the structure and
     # enumeration commands, a failing amplitude and the exports

@@ -21,6 +21,7 @@ from oracles import (
     sixj_one_zero,
     sixj_or_zero_twice,
     sixj_via_threej,
+    unreduced_zsum,
 )
 from spinnet import exactnum, kernel, wigner
 from spinnet.errors import InvalidSpin, InvalidTriads
@@ -266,8 +267,7 @@ def _zmin(t):
 
 def _large(t):
     # whether sixj_raw sends t to the large path
-    return (_zmin(t) >= kernel._LARGE_ZMIN
-            and _steps(t) < kernel._PACKED_STEPS)
+    return _zmin(t) >= kernel._LARGE_ZMIN
 
 
 def _regular_with_steps(s):
@@ -354,15 +354,15 @@ class TestLargePath:
         above = [t for t in symbols if _zmin(t) >= top]
         assert 0 < len(above) < len(symbols)
         assert ran == [_racah_args(t) for t in above]
-        # from _PACKED_STEPS up the Horner path runs again; its real
-        # value puts the symbols past twice 32000, so it is lowered here
-        monkeypatch.setattr(kernel, "_PACKED_STEPS", 101)
+        # no step count sends a symbol back to the Horner path: the
+        # column through {16001 x6} has 16000 and 16001 ratio steps
         ran.clear()
-        above = _regular_with_steps(100)
-        beyond = _regular_with_steps(101)
-        for t in above + beyond:
-            assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
-        assert ran == [_racah_args(t) for t in above]
+        t = (2 * 16001,) * 6
+        assert _steps(t) == 16001
+        assert _column_residual(t) == 0
+        assert len(ran) == 3
+        assert sorted(min(b) - max(a) for a, b in ran) == [16000, 16000,
+                                                           16001]
 
     def test_seeded_symbols_200_to_4000(self):
         symbols = _seeded_200_to_4000()
@@ -379,56 +379,75 @@ class TestLargePath:
         assert kernel.sixj_raw(*t) == horner_sixj_raw(*t)
 
     def test_worst_case_prefactor_fields(self, monkeypatch):
-        # The prefactor's exponent of 2 is the most negative field: about
-        # -4 * steps.  At the largest step count the packed path admits it
-        # comes within 2**11 of -_BIAS and still decodes exactly.  The
-        # z-sum is replaced by the prefactor's denominator, the smallest n
-        # it divides, so the value is the prefactor's numerator over the
-        # triangle part, and only the prefactor is checked.
+        # The signed vector's fields are k = f - ceil(e/2), f p's exponent
+        # in c_zmin and e in the triangle part.  With the bracket replaced
+        # by 1, the value is prod p^k times sqrt(rad), so the triple gives
+        # every field: each must be Legendre's, with f in 0..253 and
+        # ceil(e/2) below 2**9, so that k + 0x8000 decodes.  Twice 4096:
+        # every factorial argument a power of two; 2 * 16001: the largest
+        # step count tested
         from oracles import _legendre, _primes_upto
-        steps = kernel._PACKED_STEPS - 1
-        assert 4 * steps + 36 <= kernel._BIAS
-        assert 1 + 7 * 36 < 2**16 - kernel._BIAS
-        t = (2 * steps,) * 6
-        zmin, zmax = 3 * steps, 4 * steps
-        args = [steps] * 7     # zmax - a_i and b_j - zmin
-        triads = _triads(t)
-        monkeypatch.setattr(kernel, "_zsum", lambda *_:
-                            legendre_prefactor_denominator(t))
-        ups, downs, rad = [], [], 1
-        for p in _primes_upto(zmin + 1):
-            f = _legendre(zmin + 1, p) - sum(_legendre(m, p) for m in args)
-            if p == 2:
-                assert -kernel._BIAS <= f < -kernel._BIAS + 2**11
-            e = 0
-            for t1, t2, t3 in triads:
-                n = (t1 + t2 + t3) // 2
-                e += _legendre(n + 1, p) - sum(
-                    _legendre(n - g, p) for g in (t1, t2, t3))
-            k = max(f, 0) - (e + 1) // 2
-            if e % 2:
-                rad *= p
-            (ups if k > 0 else downs).append(p ** abs(k))
-        assert zmin % 2 == 1
-        assert kernel._sixj_large(*_racah_args(t)) == (
-            -_tree_product(ups), _tree_product(downs), rad)
+        monkeypatch.setattr(kernel, "_zsum", lambda *_: (1, 1))
+        for t in [(4096,) * 6, (4097, 4095, 4096, 4097, 4095, 4096),
+                  (2 * 16001,) * 6]:
+            a, b = _racah_args(t)
+            zmin = max(a)
+            args = [zmin - x for x in a] + [x - zmin for x in b]
+            fs, halves, ups, downs, rad = [], [], [], [], 1
+            for p in _primes_upto(zmin + 1):
+                f = _legendre(zmin + 1, p) - sum(_legendre(m, p)
+                                                 for m in args)
+                e = 0
+                for t1, t2, t3 in _triads(t):
+                    n = (t1 + t2 + t3) // 2
+                    e += _legendre(n + 1, p) - sum(
+                        _legendre(n - g, p) for g in (t1, t2, t3))
+                fs.append(f)
+                halves.append((e + 1) // 2)
+                k = f - (e + 1) // 2
+                if e % 2:
+                    rad *= p
+                (ups if k > 0 else downs).append(p ** abs(k))
+            assert 0 <= min(fs) and max(fs) <= 253, t
+            assert 0 <= min(halves) and max(halves) < 2**9, t
+            num = _tree_product(ups)
+            assert kernel._sixj_large(a, b) == (
+                -num if zmin % 2 else num, _tree_product(downs), rad), t
 
 
-def _zsum(t):
-    # the large path's z-sum n of t
-    a, b = _racah_args(t)
-    return kernel._zsum(max(a), min(b), a, b)
+class TestReducedZsum:
+    """The large path's z-sum cancels a common factor at every merge:
+    its (n, d) is the unreduced binary-split n over the full
+    Q = prod_i (zmax-a_i)!/(zmin-a_i)!, and d divides Q."""
+
+    @staticmethod
+    def assert_matches_unreduced(symbols):
+        for t in symbols:
+            a, b = _racah_args(t)
+            zmin, zmax = max(a), min(b)
+            n, d = kernel._zsum(zmin, zmax, a, b)
+            full = 1
+            for x in a:
+                full *= math.factorial(zmax - x) // math.factorial(zmin - x)
+            assert full % d == 0, t
+            assert n * full == unreduced_zsum(t) * d, t
+
+    def test_every_symbol_to_twice_10(self):
+        self.assert_matches_unreduced(iter_valid_sixj(10))
+
+    def test_seeded_symbols_200_to_4000(self):
+        self.assert_matches_unreduced(_seeded_200_to_4000())
 
 
 class TestPrefactorAgainstTheGcdPath:
-    """The large path's prefactor, bit planes and an exact division by its
-    denominator, against the former per-prime loop, balanced products and
-    gcd on the same z-sum: equal triples."""
+    """The large path, a reduced z-sum and one signed exponent vector read
+    by bit planes, against the former per-prime loop, balanced products
+    and gcd on the unreduced z-sum: equal triples."""
 
     @staticmethod
     def assert_matches_gcd_path(symbols):
         for t in symbols:
-            n = _zsum(t)
+            n = unreduced_zsum(t)
             # the prefactor's denominator divides n exactly
             assert n % legendre_prefactor_denominator(t) == 0, t
             assert (kernel._sixj_large(*_racah_args(t))
