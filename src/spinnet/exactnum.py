@@ -502,19 +502,17 @@ def phase_from_twice(twice: int) -> int:
 
 # dataclasses imports inspect, ast, dis and tokenize, which once cost a
 # first 6j value or a CLI command most of its start-up.  The methods
-# dataclass(frozen=True) compiles, in its source form: __create_fn__
-# binds object as dataclasses does, so __init__ runs dataclass's body.
+# dataclass(frozen=True) compiles, in its source form, but for the body
+# of __init__ (see _frozen_record).
 _RECORD_SOURCE = """\
-def __create_fn__(__dataclass_builtins_object__):
- def __init__(self, {args}):
+def __init__(self, {args}):
 {body}
- def __eq__(self, other):
-  if other.__class__ is self.__class__:
-   return ({own},) == ({other},)
-  return NotImplemented
- def __hash__(self):
-  return hash(({own},))
- return __init__, __eq__, __hash__
+def __eq__(self, other):
+ if other.__class__ is self.__class__:
+  return ({own},) == ({other},)
+ return NotImplemented
+def __hash__(self):
+ return hash(({own},))
 """
 
 
@@ -524,8 +522,12 @@ def _frozen_record(cls):
     The fields are the names annotated in the class body, in order; the
     class has no defaults, field() or base class, and defines none of
     the methods added here.  __init__, __eq__ and __hash__ are compiled
-    from the source dataclasses generates (one object.__setattr__ per
-    field, then __post_init__ when the class has one); __repr__, the
+    from the source dataclasses generates, but __init__ stores each field
+    in the instance __dict__, one item store per field under a dunder
+    local no field name takes, in place of one object.__setattr__ call
+    per field, then runs __post_init__ when the class has one.  On
+    Python 3.11 and later, reading self.__dict__ gives each instance a
+    real dict where object.__setattr__ kept inline values.  __repr__, the
     frozen __setattr__ and __delattr__ (which import FrozenInstanceError
     only to raise it), __match_args__ and, from Python 3.13,
     __replace__ behave as dataclass's.  __dataclass_fields__ and
@@ -535,17 +537,18 @@ def _frozen_record(cls):
     """
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
-    body = [f"  __dataclass_builtins_object__.__setattr__(self, {n!r}, {n})"
-            for n in names]
+    body = [" __dataclass_self_dict__ = self.__dict__"]
+    body += [f" __dataclass_self_dict__[{n!r}] = {n}" for n in names]
     if hasattr(cls, "__post_init__"):
-        body.append("  self.__post_init__()")
+        body.append(" self.__post_init__()")
     namespace = {}
     exec(_RECORD_SOURCE.format(
         args=", ".join(names), body="\n".join(body),
         own=", ".join(f"self.{n}" for n in names),
         other=", ".join(f"other.{n}" for n in names)),
         {"__name__": cls.__module__}, namespace)
-    init, eq, hash_ = namespace["__create_fn__"](object)
+    init, eq, hash_ = (namespace[n] for n in ("__init__", "__eq__",
+                                              "__hash__"))
     init.__annotations__ = {**annotations, "return": None}
     running = set()
 

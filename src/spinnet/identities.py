@@ -121,9 +121,21 @@ class BEInstance:
         t = (self.a.twice, self.b.twice, self.c.twice, self.d.twice,
              self.e.twice, self.f.twice, self.p.twice, self.q.twice,
              self.r.twice)
-        bad = [names for names, i, j, k in _X_FREE_SLOTS
-               if not triad_valid_twice(t[i], t[j], t[k])]
-        if bad:
+        ta, tb, tc, td, te, tf, tp, tq, tr = t
+        # the seven x-free triads in one expression: every perimeter
+        # even (no odd sum sets bit 0 of their or), then each triangle
+        # inequality; the failing triads are listed only on failure
+        if ((ta + td + tp | tb + tc + tp | tc + tf + tq | td + te + tq
+             | te + ta + tr | tf + tb + tr | tp + tq + tr) & 1
+                or not (abs(ta - td) <= tp <= ta + td
+                        and abs(tb - tc) <= tp <= tb + tc
+                        and abs(tc - tf) <= tq <= tc + tf
+                        and abs(td - te) <= tq <= td + te
+                        and abs(te - ta) <= tr <= te + ta
+                        and abs(tf - tb) <= tr <= tf + tb
+                        and abs(tp - tq) <= tr <= tp + tq)):
+            bad = [names for names, i, j, k in _X_FREE_SLOTS
+                   if not triad_valid_twice(t[i], t[j], t[k])]
             raise InvalidInstance(
                 "invalid fixed triads: "
                 + ", ".join("(" + "".join(names) + ")" for names in bad),
@@ -140,7 +152,8 @@ class BEInstance:
         entry, bool and negative int included, goes through Spin(v) and
         is accepted or rejected exactly as there.
         """
-        return cls(*[_SPINS[v] if type(v) is int and 0 <= v < len(_SPINS)
+        shared = len(_SPINS)
+        return cls(*[_SPINS[v] if type(v) is int and 0 <= v < shared
                      else Spin(v) for v in t])
 
     def twice_tuple(self) -> tuple[int, ...]:
@@ -208,18 +221,33 @@ def orthogonality_check(a: Spin, b: Spin, c: Spin, d: Spin,
 def _be_sides(t, literal_form: bool):
     """Both sides of the pentagon identity for a valid twice tuple t."""
     ta, tb, tc, td, te, tf, tp, tq, tr = t
-    phi = sum(t)
-    terms = []
     # t holds the seven fixed triads and x runs over (abx) (cdx) (efx),
-    # so all ten triads of the five symbols hold
-    for tx in admissible_x_twice(ta, tb, tc, td, te, tf):
-        # phi + x = (abx) + (cdx) + (efx) + (pqr) - 2x, all even perimeters
-        sign = -1 if ((phi + tx) // 2) % 2 else 1
+    # so all ten triads hold: from the largest of the three differences
+    # to the smallest of the three sums.  The fixed triads give
+    # a + b = c + d = e + f mod 2, so no parity test is needed, and
+    # |a - b| <= |a - p| + |p - b| <= d + c (alike through p, q and r
+    # for each pair), so the range is never empty
+    lo = abs(ta - tb)
+    if abs(tc - td) > lo:
+        lo = abs(tc - td)
+    if abs(te - tf) > lo:
+        lo = abs(te - tf)
+    hi = ta + tb
+    if tc + td < hi:
+        hi = tc + td
+    if te + tf < hi:
+        hi = te + tf
+    # phi + x = (abx) + (cdx) + (efx) + (pqr) - 2x, all even perimeters,
+    # so the phase is read once at the lowest x and flips as x steps by 2
+    sign = -1 if ((sum(t) + lo) // 2) % 2 else 1
+    terms = []
+    for tx in range(lo, hi + 2, 2):
         terms.append(_product(
             (_sixj_cached((ta, tb, tx, tc, td, tp)),
              _sixj_cached((tc, td, tx, te, tf, tq)),
              _sixj_cached((te, tf, tx, tb, ta, tr))),
             sign if literal_form else sign * (tx + 1)))
+        sign = -sign
     rhs = _reduce(*_product(
         (_sixj_cached((tp, tq, tr, tf, tb, tc)),
          _sixj_cached((tp, tq, tr, te, ta, td)))))

@@ -35,6 +35,14 @@ the triads, serves the *_sides_split sums.
 label_desargues_by_triads is the former label_desargues: a dict of the
 ten spins, then one triad_valid_twice call per point triad, as the
 reference for the slot-table check of spinnet.labeling.
+be_fixed_triads_by_slot_table is the former BEInstance check, one
+triad_valid_twice call per x-free triad over a table of slot indices,
+giving the failing triads and InvalidInstance's message, as the
+reference for the one inline test of spinnet.identities.BEInstance.
+be_sides_by_admissible_range is the former pentagon x-sum, x drawn from
+wigner.admissible_x_twice over the three pairs and the phase read at
+each x, as the reference for the inline range and flipped sign of
+spinnet.identities._be_sides.
 be_grid_by_triad_calls is the former iter_be_grid: nested loops over the
 capped coupling ranges, with r drawn from (ear) and kept when
 triad_valid_twice passes (fbr) and (pqr), as the reference for the
@@ -54,13 +62,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from spinnet.exactnum import (SqrtRational, factorial, factorial_exponents,
+from spinnet.exactnum import (SqrtRational, _product, _reduce, _sum,
+                              factorial, factorial_exponents,
                               factorial_primes, phase_from_twice)
 from spinnet.errors import (IncompatibleRadicands, MissingSymbol,
                             PhaseParityError, TriadViolation)
 from spinnet.labeling import (DESARGUES, LINE_SYMBOLS, POINT_TRIADS, SYMBOLS,
                               DesarguesSpinLabeling)
-from spinnet.wigner import (invalid_triads_twice, sixj_value_twice,
+from spinnet.identities import BE_SYMBOL_NAMES, X_FREE_TRIADS
+from spinnet.wigner import (_sixj_cached, admissible_x_twice,
+                            invalid_triads_twice, sixj_value_twice,
                             triad_valid_twice)
 
 __all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum",
@@ -69,7 +80,8 @@ __all__ = ["threej", "sixj_via_threej", "sixj_one_zero", "sixj_direct_sum",
            "split_mul", "split_add", "orthogonality_sides_split",
            "pentagon_sides_split", "pachner_14_sides_split",
            "legendre_triangle_sqrt", "legendre_factorial_exponents",
-           "label_desargues_by_triads", "be_grid_by_triad_calls",
+           "label_desargues_by_triads", "be_fixed_triads_by_slot_table",
+           "be_sides_by_admissible_range", "be_grid_by_triad_calls",
            "racah_sum",
            "schulten_gordon_residual"]
 
@@ -540,6 +552,40 @@ def label_desargues_by_triads(spins):
             + ", ".join(v[0] for v in violations), violations)
     line_spins = {l: symbol_spins[s] for l, s in LINE_SYMBOLS}
     return DesarguesSpinLabeling(DESARGUES, line_spins, symbol_spins)
+
+
+# (x-free triad, its three slot indices into BE_SYMBOL_NAMES)
+_X_FREE_SLOTS = tuple((names, *map(BE_SYMBOL_NAMES.index, names))
+                      for names in X_FREE_TRIADS)
+
+
+def be_fixed_triads_by_slot_table(t):
+    """The former BEInstance check on twice tuple t: (failing triads,
+    InvalidInstance message), or None when all seven x-free triads hold."""
+    bad = [names for names, i, j, k in _X_FREE_SLOTS
+           if not triad_valid_twice(t[i], t[j], t[k])]
+    if not bad:
+        return None
+    return bad, ("invalid fixed triads: "
+                 + ", ".join("(" + "".join(names) + ")" for names in bad))
+
+
+def be_sides_by_admissible_range(t, literal_form):
+    """The former pentagon x-sum of valid twice tuple t, as triples."""
+    ta, tb, tc, td, te, tf, tp, tq, tr = t
+    phi = sum(t)
+    terms = []
+    for tx in admissible_x_twice(ta, tb, tc, td, te, tf):
+        sign = -1 if ((phi + tx) // 2) % 2 else 1
+        terms.append(_product(
+            (_sixj_cached((ta, tb, tx, tc, td, tp)),
+             _sixj_cached((tc, td, tx, te, tf, tq)),
+             _sixj_cached((te, tf, tx, tb, ta, tr))),
+            sign if literal_form else sign * (tx + 1)))
+    rhs = _reduce(*_product(
+        (_sixj_cached((tp, tq, tr, tf, tb, tc)),
+         _sixj_cached((tp, tq, tr, te, ta, td)))))
+    return _sum(terms), rhs
 
 
 def be_grid_by_triad_calls(max_twice):

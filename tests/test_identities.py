@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields, replace
@@ -11,7 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    be_fixed_triads_by_slot_table,
     be_grid_by_triad_calls,
+    be_sides_by_admissible_range,
     orthogonality_sides_split,
     pachner_14_sides_split,
     pentagon_sides_split,
@@ -499,10 +502,12 @@ class TestBEInstanceTwiceTuple:
         big = BEInstance.from_twice((64,) * 9)
         assert big.a == Spin(64) and big.a is not big.b
 
-    @pytest.mark.parametrize("bad", [True, -1, 2.0], ids=repr)
+    @pytest.mark.parametrize("bad", [True, False, -1, -64, -65, 2.0, "2",
+                                     None], ids=repr)
     def test_non_spin_entries_still_raise(self, bad):
         # True == 1 and 2.0 == 2: neither may reach a shared Spin(1) or
-        # Spin(2), which the first call below has just used
+        # Spin(2), which the first call below has just used; -64 and -65
+        # would index the shared spins from the end
         assert BEInstance.from_twice((0, 1, 1, 0, 2, 3, 0, 2, 2)).b == Spin(1)
         with pytest.raises(InvalidSpin) as expected:
             Spin(bad)
@@ -539,6 +544,85 @@ class TestBEInstanceTwiceTuple:
             replace(BEInstance(*S(*(0,) * 9)),
                     **dict(zip("abcdefpqr", S(*t))))
         assert err.value.triads == (names,)
+
+
+def _random_valid_tuple(rng, top):
+    """A valid (a, b, c, d, e, f, p, q, r) <= top, built through the fixed
+    triads from seeded draws."""
+    while True:
+        tp, tq, ta, tb = (rng.randint(0, top) for _ in range(4))
+        tr = rng.choice(_couple((tp, tq), top=top) or [None])
+        td = rng.choice(_couple((ta, tp), top=top) or [None])
+        tc = rng.choice(_couple((tb, tp), top=top) or [None])
+        if None in (tr, td, tc):
+            continue
+        te = rng.choice(_couple((ta, tr), (td, tq), top=top) or [None])
+        tf = rng.choice(_couple((tc, tq), (tb, tr), top=top) or [None])
+        if None not in (te, tf):
+            return (ta, tb, tc, td, te, tf, tp, tq, tr)
+
+
+def _same_as_slot_table(tuples):
+    """from_twice accepts exactly the tuples the former slot-table check
+    accepts, and rejects the others with its triads and message; returns
+    the number accepted."""
+    from_twice = BEInstance.from_twice
+    valid = 0
+    for t in tuples:
+        expected = be_fixed_triads_by_slot_table(t)
+        try:
+            from_twice(t)
+        except InvalidInstance as err:
+            assert (list(err.triads), str(err)) == expected, t
+        else:
+            assert expected is None, t
+            valid += 1
+    return valid
+
+
+class TestFixedTriadsAgainstTheSlotTable:
+    """BEInstance's inline triad test against the former slot-table pass
+    (tests/oracles.py)."""
+
+    def test_every_tuple_up_to_twice_3(self):
+        assert _same_as_slot_table(product(range(4), repeat=9)) == \
+            sum(1 for t in iter_be_grid(3) if max(t) <= 3)
+
+    def test_seeded_tuples_up_to_twice_40(self):
+        rng = random.Random(30)
+        valid = [_random_valid_tuple(rng, 40) for _ in range(1000)]
+        raw = [tuple(rng.randint(0, 40) for _ in range(9))
+               for _ in range(2000)]
+        # one entry of a valid tuple moved by 1 or 2: a near miss
+        moved = []
+        for t in valid:
+            slot, step = rng.randrange(9), rng.choice((-2, -1, 1, 2))
+            moved.append(t[:slot] + (abs(t[slot] + step),) + t[slot + 1:])
+        assert _same_as_slot_table(valid) == len(valid)
+        assert 50 < _same_as_slot_table(raw + moved) < 1000
+
+
+class TestXSumAgainstTheAdmissibleRange:
+    """_be_sides's inline x-range and flipped sign against the former sum
+    over admissible_x_twice (tests/oracles.py)."""
+
+    def test_every_grid_tuple_to_twice_5(self):
+        for t in iter_be_grid(5):
+            for literal_form in (False, True):
+                assert identities._be_sides(t, literal_form) == \
+                    be_sides_by_admissible_range(t, literal_form), t
+
+    def test_seeded_valid_tuples_up_to_twice_20(self):
+        # the fixed triads keep the joint x-range of (ab), (cd) and (ef)
+        # from being empty: |a - b| <= |a - p| + |p - b| <= d + c, and
+        # alike through p, q and r for every pair of the three
+        rng = random.Random(20)
+        for _ in range(400):
+            t = _random_valid_tuple(rng, 20)
+            assert admissible_x_twice(*t[:6]), t
+            for literal_form in (False, True):
+                assert identities._be_sides(t, literal_form) == \
+                    be_sides_by_admissible_range(t, literal_form), t
 
 
 class TestBEGridChecks:

@@ -192,10 +192,17 @@ def test_a_record_holding_itself_reprs_as_a_dataclass_does():
     assert "line_spins={0: ..., 1: Spin(2)" in repr(rec)
 
 
+def test_init_fills_the_dict_in_the_twins_order(case):
+    cls, _, rec, tw, _, _ = case
+    # the fields in declaration order, then what __post_init__ adds
+    assert list(vars(rec)) == list(vars(tw))
+    assert list(vars(rec))[:len(fields(cls))] == [f.name for f in fields(cls)]
+
+
 def test_frozen(case):
-    _, _, rec, tw, _, _ = case
+    cls, _, rec, tw, _, _ = case
     before = dict(vars(rec))
-    for name in (next(iter(vars(rec))), "not_a_field"):
+    for name in [f.name for f in fields(cls)] + ["not_a_field"]:
         for obj in (rec, tw):
             with pytest.raises(FrozenInstanceError) as assigned:
                 setattr(obj, name, 1)
@@ -217,6 +224,12 @@ def test_pickle_and_copies(case):
     assert same_copy(lambda o: pickle.loads(pickle.dumps(o)), rec) == \
         same_copy(copy.deepcopy, rec)
     assert "__slots__" not in vars(type(rec))
+    # a copy that is made keeps the dict's key order
+    for fn in (copy.copy, copy.deepcopy,
+               lambda o: pickle.loads(pickle.dumps(o))):
+        kind, back = outcome(fn, rec)
+        if kind == "ok":
+            assert list(vars(back)) == list(vars(rec))
 
 
 def test_pentagon_instance_keeps_its_twice_tuple():
