@@ -35,7 +35,6 @@ _EXPORTS = {
     "classical_group": "symmetry",
     "cross_section": "projective",
     "errors": "errors",
-    "factorial": "exactnum",
     "isomorphic": "projective",
     "iter_regularized_enumeration": "labeling",
     "kernel_backend": "kernel.backend",
@@ -48,7 +47,6 @@ _EXPORTS = {
     "plane_dual": "projective",
     "regge_transform": "symmetry",
     "regularization_bounds": "symmetry",
-    "regularized_enumeration": "labeling",
     "running_range": "symmetry",
     "sixj_value": "wigner",
     "space_dual_desargues": "projective",

@@ -164,13 +164,16 @@ def verify_grid(max_twice: int, which: str, literal_form: bool = False,
                 ceiling: int = DEFAULT_CEILING):
     """Exhaustive verification: an iterator of records in grid order.
 
-    which is one of GRID_KINDS.  Each record is checked as it is drawn.
-    Raises CeilingExceeded when max_twice overshoots the runtime guard,
-    and SpinnetError when it is negative (an empty grid) or which is
-    unknown, all before the first record.
+    which is one of GRID_KINDS; literal_form applies to 'be' alone.
+    Each record is checked as it is drawn.  Raises CeilingExceeded when
+    max_twice overshoots the runtime guard, and SpinnetError when it is
+    negative (an empty grid), which is unknown or literal_form is set
+    for another grid, all before the first record.
     """
     if which not in GRID_KINDS:
         raise SpinnetError(f"unknown verification grid {which!r}")
+    if literal_form and which != "be":
+        raise SpinnetError(f"the {which} grid has no unweighted form")
     if max_twice < 0:
         raise SpinnetError(f"max twice-value {max_twice} is negative")
     if max_twice > ceiling:
@@ -277,8 +280,7 @@ def _cmd_verify_pachner(args, out):
     else:
         if args.p_prime is None:
             raise SpinnetError("--move 14 needs --p-prime")
-        pp = Spin(_twice_int(args.p_prime)) if args.twice \
-            else Spin.parse(args.p_prime)
+        pp, = _parse_spins([args.p_prime], ("p'",), args.twice)
         _check_single_size([pp])
         res = pachner_14_check(inst, pp)
         instance = _instance_dict(BE_SYMBOL_NAMES + ("p'",),

@@ -30,7 +30,6 @@ __all__ = [
     "Spin",
     "SqrtRational",
     "ZERO_TRIPLE",
-    "factorial",
     "factorial_exponents",
     "factorial_primes",
     "phase_from_twice",
@@ -257,15 +256,6 @@ class SqrtRational:
         return (self._canonical, (self.coeff, self.radicand))
 
     @classmethod
-    def zero(cls) -> "SqrtRational":
-        return cls(0)
-
-    @classmethod
-    def sqrt(cls, q) -> "SqrtRational":
-        """Exact square root of a non-negative rational."""
-        return cls(1, Fraction(q))
-
-    @classmethod
     def parse(cls, text: str) -> "SqrtRational":
         """Parse the textual form 'p/q*sqrt(r/s)' (also bare 'p/q' or 'p')."""
         s = text.strip().replace(" ", "")
@@ -277,9 +267,6 @@ class SqrtRational:
         except ZeroDivisionError:
             pass  # a zero denominator
         raise ValueError(f"cannot parse sqrt-rational {text!r}")
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
 
     def __bool__(self):
         return self.coeff != 0
@@ -389,15 +376,6 @@ def _decimal(n: int) -> str:
         n, low = divmod(n, _PIECE)
         pieces.append(f"{low:0{_PIECE_DIGITS}d}")
     return str(n) + "".join(reversed(pieces))
-
-
-def factorial(n: int) -> int:
-    """n!, exactly: math.factorial, which raises ValueError for n < 0.
-
-    Nothing is memoized; the kernel builds its factorial ratios from
-    binomials and packed exponent vectors instead.
-    """
-    return math.factorial(n)
 
 
 # Prime-exponent vectors of factorials, each packed into one int: field

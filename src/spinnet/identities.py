@@ -14,8 +14,8 @@ are evaluated exactly on both sides.  NOTE: the (2x+1) weight in the
 pentagon sum is required for the identity to hold (it is false already
 for the all-ones instance without it); the weighted form is therefore
 the default.  The unweighted variant stays available through
-literal_form=True so the discrepancy is observable rather than
-silently patched.
+be_check's literal_form=True so the discrepancy is observable rather
+than silently patched.
 
 The 2-3 move check is the pentagon identity rephrased in tetrahedral
 terms; the 1-4 move check contracts the pentagon with the orthogonality
@@ -259,11 +259,8 @@ _PENTAGON_FORMS = {"be": "pentagon", "pachner-23": "pachner-2-3"}
 
 
 def _pentagon_result(t, move: str, literal_form: bool) -> ExactCheckResult:
-    form = _PENTAGON_FORMS[move]
-    lhs, rhs = _be_sides(t, literal_form)
-    if literal_form:
-        form += "-unweighted"
-    return _result(lhs, rhs, form)
+    form = _PENTAGON_FORMS[move] + ("-unweighted" if literal_form else "")
+    return _result(*_be_sides(t, literal_form), form)
 
 
 def be_check(inst: BEInstance, literal_form: bool = False) -> ExactCheckResult:
@@ -271,10 +268,9 @@ def be_check(inst: BEInstance, literal_form: bool = False) -> ExactCheckResult:
     return _pentagon_result(inst._twice, "be", literal_form)
 
 
-def pachner_23_check(inst: BEInstance,
-                     literal_form: bool = False) -> ExactCheckResult:
+def pachner_23_check(inst: BEInstance) -> ExactCheckResult:
     """The 2-3 move: three tetrahedra glued along x against two sharing a face."""
-    return _pentagon_result(inst._twice, "pachner-23", literal_form)
+    return _pentagon_result(inst._twice, "pachner-23", False)
 
 
 def pachner_14_check(inst: BEInstance, p_prime: Spin) -> ExactCheckResult:
@@ -390,15 +386,18 @@ def iter_be_grid_checks(max_twice: int, move: str,
     """(twice tuple, result) for every tuple of iter_be_grid(max_twice).
 
     move is 'be' (the pentagon identity), 'pachner-23' or 'pachner-14';
-    literal_form applies to the first two.  The 1-4 move yields one result
-    for each p' with twice-value <= max_twice, its twice-value appended
-    to the tuple.  Grid tuples are valid by construction, so the sums run
-    on them directly and no BEInstance is built.
+    literal_form applies to the first alone, and any other move raises
+    SpinnetError for it.  The 1-4 move yields one result for each p'
+    with twice-value <= max_twice, its twice-value appended to the
+    tuple.  Grid tuples are valid by construction, so the sums run on
+    them directly and no BEInstance is built.
     """
+    if move != "pachner-14" and move not in _PENTAGON_FORMS:
+        raise SpinnetError(f"unknown verification grid {move!r}")
+    if literal_form and move != "be":
+        raise SpinnetError(f"the {move} grid has no unweighted form")
     if move == "pachner-14":
         return _iter_pachner_14_grid_checks(max_twice)
-    if move not in _PENTAGON_FORMS:
-        raise SpinnetError(f"unknown verification grid {move!r}")
     return ((t, _pentagon_result(t, move, literal_form))
             for t in iter_be_grid(max_twice))
 

@@ -24,7 +24,8 @@ pass stops at the first failing point: most labelings fail, and most
 callers drop the rejection, so the TriadViolation's report of every
 failing point is built only when first read (_point_report).  An
 accepted labeling has passed all ten.  transfer_labeling tests the ten
-face triads in one pass and reports them eagerly.
+face triads from a slot table of the same form and reports them
+eagerly; it and the deferred point report share one routine.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .projective import (
     space_dual_desargues,
 )
 from .symmetry import CanonicalQuadruple, running_range
-from .wigner import SixJ, _sixj_cached
+from .wigner import SixJ, _sixj_cached, triad_valid_twice
 
 __all__ = [
     "SYMBOLS",
@@ -53,7 +54,6 @@ __all__ = [
     "label_desargues",
     "transfer_labeling",
     "network_amplitude",
-    "regularized_enumeration",
     "iter_regularized_enumeration",
 ]
 
@@ -84,10 +84,10 @@ _LINE_SLOTS = tuple((l, SYMBOLS.index(s)) for l, s in LINE_SYMBOLS)
 _read_symbols = itemgetter(*SYMBOLS)
 _SYMBOL_SET = frozenset(SYMBOLS)
 _SIMPLEX = space_dual_desargues(DESARGUES)
-# (triangle tag, its three edges), in triangle order; every
+# (triangle tag, no symbols, its three edges), in triangle order; every
 # SimplicialComplex4 has these faces
-FACE_EDGES = tuple(
-    (_SIMPLEX.triangle_labels[t], _SIMPLEX.edges_of_triangle(t))
+_FACE_SLOTS = tuple(
+    (_SIMPLEX.triangle_labels[t], (), *_SIMPLEX.edges_of_triangle(t))
     for t in _SIMPLEX.triangles)
 
 
@@ -125,13 +125,18 @@ class SimplexSpinLabeling:
     to_json_dict = _to_json_dict
 
 
+def _violations(spins, slots):
+    """(tag, names, its three spins) of each slot (tag, names, i, j, k)
+    whose triad spins[i], spins[j], spins[k] fails, in slot order."""
+    return [(tag, names, (spins[i], spins[j], spins[k]))
+            for tag, names, i, j, k in slots
+            if not triad_valid_twice(spins[i].twice, spins[j].twice,
+                                     spins[k].twice)]
+
+
 def _point_report(values):
     """(message, violations) of a rejected labeling, in point order."""
-    t = [spin.twice for spin in values]
-    violations = [(tag, names, (values[i], values[j], values[k]))
-                  for tag, names, i, j, k in _POINT_SLOTS
-                  for a, b, c in ((t[i], t[j], t[k]),)
-                  if (a + b + c) % 2 or not abs(a - b) <= c <= a + b]
+    violations = _violations(values, _POINT_SLOTS)
     return ("triads fail at points "
             + ", ".join(v[0] for v in violations), violations)
 
@@ -177,11 +182,7 @@ def transfer_labeling(d: DesarguesSpinLabeling,
                 f"no edge of the complex carries tag {tag!r}") from None
         edge_spins[edge] = spin
 
-    t = {e: spin.twice for e, spin in edge_spins.items()}
-    violations = [(tag, (), (edge_spins[i], edge_spins[j], edge_spins[k]))
-                  for tag, (i, j, k) in FACE_EDGES
-                  for a, b, c in ((t[i], t[j], t[k]),)
-                  if (a + b + c) % 2 or not abs(a - b) <= c <= a + b]
+    violations = _violations(edge_spins, _FACE_SLOTS)
     if violations:
         raise TriadViolation(
             "face triads fail at "
@@ -195,22 +196,14 @@ def network_amplitude(d: DesarguesSpinLabeling) -> SqrtRational:
         _sixj_cached(s.twice_tuple()) for s in d.quadrangle_symbols())))
 
 
-def regularized_enumeration(q: CanonicalQuadruple,
-                            others: Mapping[str, Spin]):
+def iter_regularized_enumeration(q: CanonicalQuadruple,
+                                 others: Mapping[str, Spin]):
     """Amplitudes over the finite running range of the reference quadrangle.
 
     q fixes the spins (a, b, c, d); others fixes e, f, p, q, r.  The
     running spin x sweeps its admissible interval of width 2a, so at
     most 2a+1 states appear; x values that break one of the remaining
-    triads are skipped.  Raises TriadViolation when no x survives.
-    """
-    return list(iter_regularized_enumeration(q, others))
-
-
-def iter_regularized_enumeration(q: CanonicalQuadruple,
-                                 others: Mapping[str, Spin]):
-    """The (x, amplitude) pairs of regularized_enumeration, one at a time.
-
+    triads are skipped.  Yields one (x, amplitude) pair at a time.
     Raises MissingSymbol before the first pair, and TriadViolation in
     place of one when no x survives.
     """

@@ -131,33 +131,11 @@ def admissible_x_twice(*twice) -> range:
 def _sixj_cached(t: tuple[int, ...]) -> tuple[int, int, int]:
     # the kernel's (num, den, rad) triple of a valid symbol, canonical:
     # gcd(num, den) == 1, den > 0, rad square-free (1 for zero).  A miss
-    # sorts the doubled triad sums and pair sums by compare-exchange
-    # networks, which build no list, into the orbit key; the partial sums
-    # ab, cd and xy are shared because the miss path is the whole of a
-    # cold item's overhead.
+    # sorts the doubled triad sums and pair sums into the orbit key
     ta, tb, tx, tc, td, ty = t
-    ab = ta + tb
-    cd = tc + td
-    xy = tx + ty
-    a1, a2, a3, a4 = ab + tx, ta + td + ty, tc + tb + ty, cd + tx
-    b1, b2, b3 = ab + cd, tb + td + xy, ta + tc + xy
-    if a1 > a2:
-        a1, a2 = a2, a1
-    if a3 > a4:
-        a3, a4 = a4, a3
-    if a1 > a3:
-        a1, a3 = a3, a1
-    if a2 > a4:
-        a2, a4 = a4, a2
-    if a2 > a3:
-        a2, a3 = a3, a2
-    if b1 > b2:
-        b1, b2 = b2, b1
-    if b2 > b3:
-        b2, b3 = b3, b2
-    if b1 > b2:
-        b1, b2 = b2, b1
-    return _sixj_orbit((a1, a2, a3, a4, b1, b2, b3))
+    return _sixj_orbit((
+        *sorted((ta + tb + tx, ta + td + ty, tc + tb + ty, tc + td + tx)),
+        *sorted((ta + tb + tc + td, tb + td + tx + ty, ta + tc + tx + ty))))
 
 
 @lru_cache(maxsize=None)

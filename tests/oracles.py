@@ -1,57 +1,65 @@
-"""Independent slow oracles used only by the test suite.
+"""Slow oracles and old-path references used only by the test suite.
 
-The production path evaluates 6j symbols through the Racah single sum;
-here the same values are rebuilt from first principles by contracting
-Wigner 3j symbols over all magnetic quantum numbers.  Everything is
-exact (SqrtRational all the way down), and nothing below imports the
-production kernel.  sixj_direct_sum keeps the kernel's former
-term-by-term single sum as a reference for the nested (Horner) one, and
-the *_sides_split functions keep the former identity sums, which did
-every product and sum on SqrtRational values and renormalised each
-result through the public constructor (square_free_split), as a
-reference for the integer-triple sums of spinnet.identities.
-legendre_triangle_sqrt keeps the kernel's former triangle coefficients,
-a fresh prime sieve and Legendre's formula per call, as a reference for
-the packed factorial exponent vectors of spinnet.exactnum.
-horner_sixj_raw is the kernel's former evaluation for every size, the
-Horner z-sum and the multiplied-out factorial prefactor, with the
-triangle coefficients by Legendre's formula: the exact reference for
-the kernel's large path (factor-reduced binary splitting and one
-signed exponent vector), whose triples must equal it.
-unreduced_zsum is the large path's former z-sum: binary splitting with
-no factor cancelled at a merge, so the Horner loop's bracket is its n
-over the full Q = prod_i (zmax-a_i)!/(zmin-a_i)!; the reference for the
-reduced (n, d) of spinnet.kernel._zsum.
-gcd_prefactor_triple is the large path's former prefactor step: from
-that unreduced n it reads the prefactor's and the triangle part's
-exponents off the packed factorial vectors one prime at a time, builds
-the numerator and denominator prime powers with balanced products and
-reduces by gcd(n, denominator), as the old-path reference for the
-signed exponent vector and bit planes of spinnet.kernel._sixj_large.
-legendre_prefactor_denominator gives the denominator of that prefactor
-by Legendre's formula.
-sixj_or_zero_twice, the former library helper returning exact zero off
-the triads, serves the *_sides_split sums.
-label_desargues_by_triads is the former label_desargues: a dict of the
-ten spins, then one triad_valid_twice call per point triad, as the
-reference for the slot-table check of spinnet.labeling.
-be_fixed_triads_by_slot_table is the former BEInstance check, one
-triad_valid_twice call per x-free triad over a table of slot indices,
-giving the failing triads and InvalidInstance's message, as the
-reference for the one inline test of spinnet.identities.BEInstance.
-be_sides_by_admissible_range is the former pentagon x-sum, x drawn from
-wigner.admissible_x_twice over the three pairs and the phase read at
-each x, as the reference for the inline range and flipped sign of
-spinnet.identities._be_sides.
-be_grid_by_triad_calls is the former iter_be_grid: nested loops over the
-capped coupling ranges, with r drawn from (ear) and kept when
-triad_valid_twice passes (fbr) and (pqr), as the reference for the
-table-driven ranges of spinnet.identities.iter_be_grid.
-racah_sum and schulten_gordon_residual check kernel values at spins the
-3j contraction cannot reach: the Racah z-sum S is read back from a value
-and the exact triangle coefficients, and three values along an x-column
-must satisfy the Schulten-Gordon three-term recurrence, which relates
-three different symmetry orbits and owes nothing to the single sum.
+Everything here is exact.  The functions fall into three tiers, by how
+much of the production path they share.
+
+Independent oracles read no 6j value, no kernel code and no value
+cache; they use only SqrtRational, phase_from_twice and
+triad_valid_twice of the library.  threej and sixj_via_threej rebuild
+6j symbols from first principles by contracting Wigner 3j symbols over
+all magnetic quantum numbers, and sixj_one_zero is the closed form of
+{a b c; 0 c b}.  The former z-sums share the kernel's Racah single-sum
+formula, but none of its code: sixj_direct_sum keeps the term-by-term
+sum as a reference for the nested (Horner) one; horner_sixj_raw is the
+kernel's former evaluation for every size, the Horner z-sum and the
+multiplied-out factorial prefactor, with the triangle coefficients by
+Legendre's formula, the exact reference for the kernel's large path
+(factor-reduced binary splitting and one signed exponent vector), whose
+triples must equal it; unreduced_zsum is the large path's former z-sum,
+binary splitting with no factor cancelled at a merge, so the Horner
+loop's bracket is its n over the full Q = prod_i (zmax-a_i)!/(zmin-a_i)!,
+the reference for the reduced (n, d) of spinnet.kernel._zsum.
+legendre_triangle_sqrt (the kernel's former triangle coefficients, a
+fresh prime sieve and Legendre's formula per call),
+legendre_factorial_exponents and legendre_prefactor_denominator check
+the packed factorial exponent vectors of spinnet.exactnum the same way.
+
+Old-path references keep a former production path, to be compared with
+the one that replaced it; they share the rest of the library.  Those
+that sum 6j values read them through spinnet.wigner, that is from the
+production kernel and its value cache: sixj_or_zero_twice, the former
+library helper returning exact zero off the triads; the *_sides_split
+sums (orthogonality, pentagon and 1-4), which did every product and sum
+on SqrtRational values and renormalised each result through the public
+constructor (square_free_split), as the reference for the integer-triple
+sums of spinnet.identities; and be_sides_by_admissible_range, the former
+pentagon x-sum on triples, x drawn from wigner.admissible_x_twice over
+the three pairs and the phase read at each x, as the reference for the
+inline range and flipped sign of spinnet.identities._be_sides.  The
+others read no value.  gcd_prefactor_triple is the large path's former
+prefactor step: from the unreduced n it reads the prefactor's and the
+triangle part's exponents off exactnum's packed factorial vectors one
+prime at a time, builds the numerator and denominator prime powers
+with balanced products and reduces by gcd(n, denominator), as the
+reference for the signed exponent vector and bit planes of
+spinnet.kernel._sixj_large.  label_desargues_by_triads is the former
+label_desargues (a dict of the ten spins, then one triad_valid_twice
+call per point triad), the reference for the slot-table check of
+spinnet.labeling.  be_fixed_triads_by_slot_table is the former
+BEInstance check, one triad_valid_twice call per x-free triad over a
+table of slot indices, giving the failing triads and InvalidInstance's
+message, the reference for the one inline test of
+spinnet.identities.BEInstance.  be_grid_by_triad_calls is the former
+iter_be_grid (nested loops over the capped coupling ranges, with r drawn
+from (ear) and kept when triad_valid_twice passes (fbr) and (pqr)), the
+reference for the table-driven ranges of spinnet.identities.iter_be_grid.
+
+Identity checkers test kernel values at spins the 3j contraction cannot
+reach.  racah_sum reads the Racah z-sum S back from a value and the
+exact triangle coefficients, and schulten_gordon_residual requires three
+values along an x-column to satisfy the Schulten-Gordon three-term
+recurrence, which relates three different symmetry orbits and owes
+nothing to the single sum.
 """
 
 import sys
@@ -60,11 +68,11 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 
 from spinnet.exactnum import (SqrtRational, _product, _reduce, _sum,
-                              factorial, factorial_exponents,
-                              factorial_primes, phase_from_twice)
+                              factorial_exponents, factorial_primes,
+                              phase_from_twice)
 from spinnet.errors import (IncompatibleRadicands, MissingSymbol,
                             PhaseParityError, TriadViolation)
 from spinnet.labeling import (DESARGUES, LINE_SYMBOLS, POINT_TRIADS, SYMBOLS,
@@ -98,17 +106,17 @@ def _triangle_sq(tj1, tj2, tj3) -> Fraction:
 def threej(tj1, tj2, tj3, tm1, tm2, tm3) -> SqrtRational:
     """Exact Wigner 3j symbol from twice-values of spins and projections."""
     if tm1 + tm2 + tm3 != 0:
-        return SqrtRational.zero()
+        return SqrtRational(0)
     if not triad_valid_twice(tj1, tj2, tj3):
-        return SqrtRational.zero()
+        return SqrtRational(0)
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         if abs(tm) > tj or (tj + tm) % 2:
-            return SqrtRational.zero()
+            return SqrtRational(0)
 
     tmin = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
     tmax = min((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
     if tmin > tmax:
-        return SqrtRational.zero()
+        return SqrtRational(0)
     total = Fraction(0)
     for t in range(tmin, tmax + 1):
         den = (factorial(t)
@@ -119,13 +127,13 @@ def threej(tj1, tj2, tj3, tm1, tm2, tm3) -> SqrtRational:
                * factorial((tj3 - tj1 - tm2) // 2 + t))
         total += Fraction(-1 if t % 2 else 1, den)
     if total == 0:
-        return SqrtRational.zero()
+        return SqrtRational(0)
 
     rad = _triangle_sq(tj1, tj2, tj3)
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         rad *= factorial((tj + tm) // 2) * factorial((tj - tm) // 2)
     sign = phase_from_twice(tj1 - tj2 - tm3)
-    return SqrtRational(sign * total, 1) * SqrtRational.sqrt(rad)
+    return SqrtRational(sign * total, 1) * SqrtRational(1, rad)
 
 
 def _projections(tj):
@@ -150,14 +158,14 @@ def sixj_via_threej(t6) -> SqrtRational:
     """
     tj1, tj2, tj3, tj4, tj5, tj6 = t6
     threej_once = lru_cache(maxsize=None)(threej)
-    total = SqrtRational.zero()
+    total = SqrtRational(0)
     for tm1 in _projections(tj1):
         for tm2 in _projections(tj2):
             tm3 = -tm1 - tm2
             if abs(tm3) > tj3:
                 continue
             first = threej_once(tj1, tj2, tj3, -tm1, -tm2, -tm3)
-            if first.is_zero():
+            if not first:
                 continue
             for tm6 in _projections(tj6):
                 tm5 = tm1 + tm6
@@ -168,7 +176,7 @@ def sixj_via_threej(t6) -> SqrtRational:
                         * threej_once(tj1, tj5, tj6, tm1, -tm5, tm6)
                         * threej_once(tj4, tj2, tj6, tm4, tm2, -tm6)
                         * threej_once(tj4, tj5, tj3, -tm4, tm5, tm3))
-                if term.is_zero():
+                if not term:
                     continue
                 sign = phase_from_twice(
                     (tj1 + tj2 + tj3)
@@ -180,8 +188,8 @@ def sixj_via_threej(t6) -> SqrtRational:
 def sixj_one_zero(ta, tb, tc) -> SqrtRational:
     """Closed form for {a b c; 0 c b}: (-1)^(a+b+c)/sqrt((2b+1)(2c+1))."""
     sign = phase_from_twice(ta + tb + tc)
-    return SqrtRational(sign) * SqrtRational.sqrt(
-        Fraction(1, (tb + 1) * (tc + 1)))
+    return SqrtRational(sign) * SqrtRational(
+        1, Fraction(1, (tb + 1) * (tc + 1)))
 
 
 def _falling(top, bottom):
@@ -398,7 +406,7 @@ def _triad_legendre(t1, t2, t3):
 def sixj_or_zero_twice(t) -> SqrtRational:
     """Value if all four triads hold, else exact zero."""
     if invalid_triads_twice(t):
-        return SqrtRational.zero()
+        return SqrtRational(0)
     return sixj_value_twice(t)
 
 
@@ -428,7 +436,7 @@ def _x_twices(*pairs):
 
 def orthogonality_sides_split(ta, tb, tc, td, ty, typ):
     """(lhs, rhs) of the completeness relation on SqrtRational values."""
-    lhs = SqrtRational.zero()
+    lhs = SqrtRational(0)
     for tx in _x_twices((ta, tb), (tc, td)):
         term = split_mul(sixj_or_zero_twice((ta, tb, tx, tc, td, ty)),
                          sixj_or_zero_twice((tc, td, tx, ta, tb, typ)))
@@ -437,7 +445,7 @@ def orthogonality_sides_split(ta, tb, tc, td, ty, typ):
             and triad_valid_twice(tb, tc, ty)):
         rhs = SqrtRational(Fraction(1, typ + 1))
     else:
-        rhs = SqrtRational.zero()
+        rhs = SqrtRational(0)
     return lhs, rhs
 
 
@@ -448,7 +456,7 @@ def pentagon_sides_split(t9, literal_form=False):
     """
     ta, tb, tc, td, te, tf, tp, tq, tr = t9
     phi = sum(t9)
-    lhs = SqrtRational.zero()
+    lhs = SqrtRational(0)
     for tx in _x_twices((ta, tb), (tc, td), (te, tf)):
         if (phi + tx) % 2:
             raise PhaseParityError(f"phi + x is half-integral at x={tx}/2")

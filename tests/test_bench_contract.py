@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import spinnet
-from spinnet import identities, labeling, wigner
+import spinnet.cli
+from spinnet import errors, identities, labeling, symmetry, wigner
 from spinnet.exactnum import SqrtRational
 
 SPINBENCH = Path(__file__).resolve().parents[1] / "spinbench"
@@ -51,6 +52,19 @@ def test_names_the_workers_read_exist():
     assert callable(wigner.sixj_value_twice)
     assert callable(wigner._sixj_cached.cache_clear)
     assert callable(wigner._sixj_orbit.cache_clear)
+    # read by workloads.py, make_reference.py and worker.py
+    assert callable(identities.iter_be_grid)
+    assert callable(identities.BEInstance.from_twice)
+    assert isinstance(identities.FIVE_SYMBOLS, tuple)
+    assert callable(wigner.sixj_value)
+    assert callable(wigner.SixJ.from_twice)
+    assert callable(spinnet.Spin)
+    assert issubclass(errors.TriadViolation, Exception)
+    assert issubclass(errors.UnrealizableQuadrangle, Exception)
+    assert callable(labeling.DesarguesSpinLabeling.quadrangle_symbols)
+    assert callable(labeling.SimplexSpinLabeling.tetrahedron_symbols)
+    assert callable(symmetry.RegularizationReport.to_json_dict)
+    assert callable(spinnet.cli.build_parser)
 
 
 def _workload_literals():

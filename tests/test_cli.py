@@ -18,8 +18,8 @@ from spinnet.cli import MAX_SINGLE_TWICE, main, verify_grid
 from spinnet.errors import CeilingExceeded, InvalidSpin, SpinnetError
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.identities import BEInstance, iter_be_grid
-from spinnet.labeling import (SYMBOLS, label_desargues, network_amplitude,
-                              regularized_enumeration)
+from spinnet.labeling import (SYMBOLS, iter_regularized_enumeration,
+                              label_desargues, network_amplitude)
 from spinnet.symmetry import canonicalize_quadruple
 from spinnet.wigner import SixJ, sixj_value
 
@@ -118,7 +118,7 @@ class TestSixj:
         code, out, _ = run(capsys, "sixj", "--twice", top, top, "0",
                            "0", "0", top)
         # {j j 0; 0 0 j} = 1/sqrt(2j+1)
-        expected = SqrtRational.sqrt(Fraction(1, MAX_SINGLE_TWICE + 1))
+        expected = SqrtRational(1, Fraction(1, MAX_SINGLE_TWICE + 1))
         assert code == 0 and out == f"{expected}\n"
         over = str(MAX_SINGLE_TWICE + 2)
         code, out, _ = run(capsys, "sixj", "--twice", over, over, "0",
@@ -317,6 +317,14 @@ class TestVerify:
         with pytest.raises(SpinnetError, match="unknown verification grid"):
             verify_grid(2, "foo")
 
+    @pytest.mark.parametrize("which",
+                             ["orthogonality", "pachner-23", "pachner-14"])
+    def test_verify_grid_unweighted_form_of_another_grid_is_error(self,
+                                                                  which):
+        # only the pentagon grid has an unweighted form
+        with pytest.raises(SpinnetError, match="has no unweighted form"):
+            verify_grid(1, which, literal_form=True)
+
     @pytest.mark.parametrize("command, max_twice",
                              [("verify-orth", "-1"), ("verify-be", "-3")])
     def test_empty_grid_is_usage_error(self, capsys, command, max_twice):
@@ -501,7 +509,7 @@ class TestLabelAmplitude:
         quad = canonicalize_quadruple(*(Spin(int(v)) for v in argv[1:5]))
         others = {k: Spin.parse(v) for k, v in
                   (kv.split("=") for kv in argv[-1].split(","))}
-        entries = regularized_enumeration(quad, others)
+        entries = list(iter_regularized_enumeration(quad, others))
         written = []
         amplitude = spinnet.labeling.network_amplitude
         buf = io.StringIO()

@@ -16,7 +16,6 @@ from spinnet.errors import IncompatibleRadicands, InvalidSpin, PhaseParityError
 from spinnet.exactnum import (
     Spin,
     SqrtRational,
-    factorial,
     factorial_exponents,
     factorial_primes,
     phase_from_twice,
@@ -302,21 +301,6 @@ def test_gcd_rule_matches_split_construction(c1, r1, c2, r2):
     assert _fields(u - w) == _fields(
         SqrtRational(u.coeff - w.coeff, u.radicand))
     assert _fields(u * c2) == _fields(SqrtRational(u.coeff * c2, u.radicand))
-
-
-class TestFactorial:
-    def test_matches_math(self):
-        for n in (0, 1, 2, 5, 13, 40):
-            assert factorial(n) == math.factorial(n)
-
-    def test_cap_does_not_change_values(self):
-        size = exactnum._FACTORIAL_MEMO_SIZE
-        for k in (0, 1, 7):
-            assert factorial(size + k) == math.factorial(size + k)
-
-    def test_negative(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
 
 
 class TestFactorialExponents:

@@ -628,15 +628,23 @@ class TestXSumAgainstTheAdmissibleRange:
 class TestBEGridChecks:
     """iter_be_grid_checks runs the instance checks on the grid tuples."""
 
-    @pytest.mark.parametrize("literal_form", [False, True])
-    @pytest.mark.parametrize("move, check", [
-        ("be", be_check), ("pachner-23", pachner_23_check)])
+    @pytest.mark.parametrize("move, check, literal_form", [
+        ("be", be_check, False), ("be", be_check, True),
+        ("pachner-23", pachner_23_check, False)])
     def test_matches_the_instance_checks(self, move, check, literal_form):
         rows = list(iter_be_grid_checks(2, move, literal_form))
+        forms = {"literal_form": True} if literal_form else {}
         assert [t for t, _ in rows] == list(iter_be_grid(2))
         assert [res for _, res in rows] == [
-            check(BEInstance.from_twice(t), literal_form=literal_form)
+            check(BEInstance.from_twice(t), **forms)
             for t in iter_be_grid(2)]
+
+    @pytest.mark.parametrize("move", ["pachner-23", "pachner-14"])
+    def test_no_unweighted_form_raises_at_the_call(self, move):
+        # only the pentagon grid has an unweighted form; the others
+        # refuse the request rather than yield weighted results
+        with pytest.raises(SpinnetError, match="has no unweighted form"):
+            iter_be_grid_checks(1, move, literal_form=True)
 
     def test_pachner_14_appends_p_prime(self):
         rows = list(iter_be_grid_checks(2, "pachner-14"))

@@ -26,9 +26,9 @@ from spinnet.labeling import (
     POINT_TRIADS,
     SYMBOLS,
     DesarguesSpinLabeling,
+    iter_regularized_enumeration,
     label_desargues,
     network_amplitude,
-    regularized_enumeration,
     transfer_labeling,
 )
 from spinnet.projective import build_desargues, space_dual_desargues
@@ -418,35 +418,35 @@ class TestAmplitude:
 class TestRegularizedEnumeration:
     def test_zeros_single_state(self):
         q = canonicalize_quadruple(*(Spin(0),) * 4)
-        entries = regularized_enumeration(
-            q, {k: Spin(0) for k in ("e", "f", "p", "q", "r")})
+        entries = list(iter_regularized_enumeration(
+            q, {k: Spin(0) for k in ("e", "f", "p", "q", "r")}))
         assert entries == [(Spin(0), SqrtRational(1))]
 
     def test_ones_three_states(self):
         q = canonicalize_quadruple(*(Spin(2),) * 4)
-        entries = regularized_enumeration(
-            q, {k: Spin(2) for k in ("e", "f", "p", "q", "r")})
+        entries = list(iter_regularized_enumeration(
+            q, {k: Spin(2) for k in ("e", "f", "p", "q", "r")}))
         assert [x.twice for x, _ in entries] == [0, 2, 4]
         assert entries[2][1] == SqrtRational(Fraction(1, 7776))
 
     def test_state_count_bounded_by_width(self):
         q = canonicalize_quadruple(*(Spin(4),) * 4)
-        entries = regularized_enumeration(
-            q, {k: Spin(4) for k in ("e", "f", "p", "q", "r")})
+        entries = list(iter_regularized_enumeration(
+            q, {k: Spin(4) for k in ("e", "f", "p", "q", "r")}))
         assert 1 <= len(entries) <= q.a.twice + 1
         assert len(entries) == 5  # uniform labels keep every x in range
 
     def test_no_admissible_x_raises(self):
         q = canonicalize_quadruple(*(Spin(0),) * 4)
         with pytest.raises(TriadViolation):
-            regularized_enumeration(
+            list(iter_regularized_enumeration(
                 q, {"e": Spin(2), "f": Spin(0), "p": Spin(0),
-                    "q": Spin(0), "r": Spin(0)})
+                    "q": Spin(0), "r": Spin(0)}))
 
     def test_missing_symbol(self):
         q = canonicalize_quadruple(*(Spin(0),) * 4)
         with pytest.raises(KeyError):
-            regularized_enumeration(q, {"e": Spin(0)})
+            list(iter_regularized_enumeration(q, {"e": Spin(0)}))
 
 
 class TestInducedPentagonInstance:

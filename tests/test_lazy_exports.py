@@ -26,12 +26,12 @@ EXPORTS = [
     "RegularizationReport", "SimplexSpinLabeling", "SimplicialComplex4",
     "SixJ", "SixJSymmetryElement", "Spin", "SqrtRational", "be_check",
     "build_desargues", "build_quadrangle", "canonicalize_quadruple",
-    "classical_group", "cross_section", "errors", "factorial", "isomorphic",
+    "classical_group", "cross_section", "errors", "isomorphic",
     "iter_regularized_enumeration", "kernel_backend", "label_desargues",
     "network_amplitude", "orthogonality_check", "pachner_14_check",
     "pachner_23_check", "phase_from_twice", "plane_dual", "regge_transform",
-    "regularization_bounds", "regularized_enumeration", "running_range",
-    "sixj_value", "space_dual_desargues", "symmetry_group", "symmetry_orbit",
+    "regularization_bounds", "running_range", "sixj_value",
+    "space_dual_desargues", "symmetry_group", "symmetry_orbit",
     "transfer_labeling", "validate_configuration",
 ]
 

@@ -149,12 +149,12 @@ class TestSixJValue:
         from oracles import _triangle_sq
         for t in iter_valid_sixj(4):
             v = sixj_value_twice(t)
-            if v.is_zero():
+            if not v:
                 continue
             ta, tb, tx, tc, td, ty = t
             prod = (_triangle_sq(ta, tb, tx) * _triangle_sq(ta, td, ty)
                     * _triangle_sq(tc, tb, ty) * _triangle_sq(tc, td, tx))
-            assert v.radicand == SqrtRational.sqrt(prod).radicand
+            assert v.radicand == SqrtRational(1, prod).radicand
 
 
 class TestSixJValueTwiceInput:
