@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 import sys
-import threading
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
@@ -30,8 +30,6 @@ __all__ = [
     "Spin",
     "SqrtRational",
     "ZERO_TRIPLE",
-    "factorial_exponents",
-    "factorial_primes",
     "phase_from_twice",
     "square_free_split",
 ]
@@ -378,98 +376,6 @@ def _decimal(n: int) -> str:
     return str(n) + "".join(reversed(pieces))
 
 
-# Prime-exponent vectors of factorials, each packed into one int: field
-# i, _EXPONENT_BITS wide, holds the exponent of the i-th prime.  Integer
-# addition is linear, so a sum of packed vectors is the packed vector of
-# the field-wise sums: a product or quotient of factorials costs a few
-# big-int additions, and its vector reads off exactly wherever every
-# field of the result lies in [0, 2**_EXPONENT_BITS).  Entries for n
-# below _FACTORIAL_MEMO_SIZE are stored.  A larger one is built on from
-# the nearest entry at or below it, among the last stored one and the
-# last _ABOVE_MEMO_KEEP built above the memo, which are kept in place of
-# the oldest, so a run of large arguments adds only what is new.
-_FACTORIAL_MEMO_SIZE = 10_000
-_EXPONENT_BITS = 16
-_factorial_exponents = [0, 0]
-_factorial_exponents_lock = threading.Lock()
-# n -> vector of n! for the vectors last built above the memo, oldest
-# first
-_ABOVE_MEMO_KEEP = 8
-_above_memo = {}
-# (least prime factor of each m <= limit, the primes <= limit in field
-# order, the bit offset of each such prime's field), grown by doubling;
-# it is kept at any size, one int per m and one offset per prime
-_sieve = ([0, 1], [], {})
-
-
-def _sieve_upto(limit: int):
-    """The sieve table covering every m <= limit."""
-    global _sieve
-    table = _sieve
-    if limit < len(table[0]):
-        return table
-    size = max(limit, 2 * len(table[0]))
-    if limit < _FACTORIAL_MEMO_SIZE:
-        size = min(size, _FACTORIAL_MEMO_SIZE - 1)
-    lpf = list(range(size + 1))
-    # descending, so that the least divisor d >= 2 of m with d*d <= m,
-    # which is prime, is the last to write lpf[m]
-    for d in range(math.isqrt(size), 1, -1):
-        lpf[d * d::d] = [d] * len(range(d * d, size + 1, d))
-    primes = [m for m in range(2, size + 1) if lpf[m] == m]
-    offset = {p: i * _EXPONENT_BITS for i, p in enumerate(primes)}
-    _sieve = table = lpf, primes, offset
-    return table
-
-
-def factorial_primes(n: int) -> list[int]:
-    """The primes in field order of factorial_exponents, up to n at least."""
-    return _sieve_upto(n)[1]
-
-
-def factorial_exponents(n: int) -> int:
-    """The prime-exponent vector of n!, packed into one int.
-
-    Field i, bits 16*i to 16*i + 15, holds the exponent of
-    factorial_primes(n)[i] in n!; every exponent fits while n is below
-    2**16, and a sum of vectors reads off exactly wherever its own
-    fields fit.  The memo grows one n at a time under a lock, adding
-    the packed factorization of each new n, so concurrent readers are
-    safe.
-    """
-    if n < 0:
-        raise ValueError(f"factorial of negative {n}")
-    vectors = _factorial_exponents
-    if n < len(vectors):
-        return vectors[n]
-    with _factorial_exponents_lock:
-        if n < len(vectors):
-            return vectors[n]
-        lpf, _, offset = _sieve_upto(n)
-        m, v = len(vectors) - 1, vectors[-1]
-        if len(vectors) == _FACTORIAL_MEMO_SIZE:
-            # a plain loop: a comprehension here would make n a cell
-            # variable, which every call, the memo hits too, would pay for
-            for k in _above_memo:
-                if m < k <= n:
-                    m = k
-            v = _above_memo.get(m, v)
-        for m in range(m + 1, n + 1):
-            k = m
-            while k > 1:
-                p = lpf[k]
-                v += 1 << offset[p]
-                k //= p
-            if m < _FACTORIAL_MEMO_SIZE:
-                vectors.append(v)
-        if n >= _FACTORIAL_MEMO_SIZE:
-            _above_memo.pop(n, None)
-            _above_memo[n] = v
-            if len(_above_memo) > _ABOVE_MEMO_KEEP:
-                del _above_memo[next(iter(_above_memo))]
-    return v
-
-
 def phase_from_twice(twice: int) -> int:
     """(-1)**(twice/2); raises PhaseParityError for half-integer exponents."""
     if twice % 2:
@@ -528,19 +434,12 @@ def _frozen_record(cls):
     init, eq, hash_ = (namespace[n] for n in ("__init__", "__eq__",
                                               "__hash__"))
     init.__annotations__ = {**annotations, "return": None}
-    running = set()
 
+    @reprlib.recursive_repr()
     def __repr__(self):
-        key = id(self), threading.get_ident()
-        if key in running:
-            return "..."
-        running.add(key)
-        try:
-            return (f"{self.__class__.__qualname__}("
-                    + ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
-                    + ")")
-        finally:
-            running.discard(key)
+        return (f"{self.__class__.__qualname__}("
+                + ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+                + ")")
 
     def __setattr__(self, name, value):
         if type(self) is cls or name in names:

@@ -29,27 +29,27 @@ The four triangle coefficients contribute only a denominator and a
 radicand: their product is one over D = prod_i (a_i+1)!/prod_ij
 (b_j-a_i)!, as the twelve entries b_j - a_i are the twelve triangle
 arguments.  One function builds D's packed prime-exponent vector for
-both paths from sixteen factorial vectors exactnum memoizes, with no
-prime sieve per call.  Small symbols decode it prime by prime.  The
-large path subtracts ceil(e/2) of each exponent e in it from c_zmin's
-packed exponent vector: one signed vector of the value's prime
-exponents, whose positive fields give the numerator's and whose
-negative fields the denominator's prime powers, as in the
-prime-factorized factorials of Johansson & Forssén (SIAM J. Sci.
-Comput. 38, 2016); one gcd against the bracket's reduced n/d is left.
-Each prime-power product is read off bit planes of its vector,
-squaring from the high bit down, with no loop per prime.  Both paths
-return the same triple.
+both paths from sixteen factorial vectors, which this module memoizes
+(factorial_exponents, at the end), with no prime sieve per call.  Small
+symbols decode it prime by prime.  The large path subtracts ceil(e/2)
+of each exponent e in it from c_zmin's packed exponent vector: one
+signed vector of the value's prime exponents, whose positive fields
+give the numerator's and whose negative fields the denominator's prime
+powers, as in the prime-factorized factorials of Johansson & Forssén
+(SIAM J. Sci. Comput. 38, 2016); one gcd against the bracket's reduced
+n/d is left.  Each prime-power product is read off bit planes of its
+vector, squaring from the high bit down, with no loop per prime.  Both
+paths return the same triple.
 """
 
 import sys
+import threading
 from array import array
 from bisect import bisect_right
 from itertools import compress
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
 
-from .exactnum import (ZERO_TRIPLE, _reduce, factorial_exponents,
-                       factorial_primes)
+from .exactnum import ZERO_TRIPLE, _reduce
 
 # symbols whose largest triad perimeter zmin is at least this take the
 # large path: the two paths cross between zmin 200 and 300, and no
@@ -241,3 +241,95 @@ def _triangle_sqrt(a, b):
                 rad *= p
             den *= p ** ((e + 1) >> 1)
     return den, rad
+
+
+# Prime-exponent vectors of factorials, each packed into one int: field
+# i, 16 bits wide, holds the exponent of the i-th prime.  Integer
+# addition is linear, so a sum of packed vectors is the packed vector of
+# the field-wise sums: a product or quotient of factorials costs a few
+# big-int additions, and its vector reads off exactly wherever every
+# field of the result lies in [0, 2**16), the width every decode above
+# assumes.  Entries for n below _FACTORIAL_MEMO_SIZE are stored.  A
+# larger one is built on from the nearest entry at or below it, among
+# the last stored one and the last _ABOVE_MEMO_KEEP built above the
+# memo, which are kept in place of the oldest, so a run of large
+# arguments adds only what is new.
+_FACTORIAL_MEMO_SIZE = 10_000
+_factorial_exponents = [0, 0]
+_factorial_exponents_lock = threading.Lock()
+# n -> vector of n! for the vectors last built above the memo, oldest
+# first
+_ABOVE_MEMO_KEEP = 8
+_above_memo = {}
+# (least prime factor of each m <= limit, the primes <= limit in field
+# order, the bit offset of each such prime's field), grown by doubling;
+# it is kept at any size, one int per m and one offset per prime
+_sieve = ([0, 1], [], {})
+
+
+def _sieve_upto(limit: int):
+    """The sieve table covering every m <= limit."""
+    global _sieve
+    table = _sieve
+    if limit < len(table[0]):
+        return table
+    size = max(limit, 2 * len(table[0]))
+    if limit < _FACTORIAL_MEMO_SIZE:
+        size = min(size, _FACTORIAL_MEMO_SIZE - 1)
+    lpf = list(range(size + 1))
+    # descending, so that the least divisor d >= 2 of m with d*d <= m,
+    # which is prime, is the last to write lpf[m]
+    for d in range(isqrt(size), 1, -1):
+        lpf[d * d::d] = [d] * len(range(d * d, size + 1, d))
+    primes = [m for m in range(2, size + 1) if lpf[m] == m]
+    offset = {p: 16 * i for i, p in enumerate(primes)}
+    _sieve = table = lpf, primes, offset
+    return table
+
+
+def factorial_primes(n: int) -> list[int]:
+    """The primes in field order of factorial_exponents, up to n at least."""
+    return _sieve_upto(n)[1]
+
+
+def factorial_exponents(n: int) -> int:
+    """The prime-exponent vector of n!, packed into one int.
+
+    Field i, bits 16*i to 16*i + 15, holds the exponent of
+    factorial_primes(n)[i] in n!; every exponent fits while n is below
+    2**16, and a sum of vectors reads off exactly wherever its own
+    fields fit.  The memo grows one n at a time under a lock, adding
+    the packed factorization of each new n, so concurrent readers are
+    safe.
+    """
+    if n < 0:
+        raise ValueError(f"factorial of negative {n}")
+    vectors = _factorial_exponents
+    if n < len(vectors):
+        return vectors[n]
+    with _factorial_exponents_lock:
+        if n < len(vectors):
+            return vectors[n]
+        lpf, _, offset = _sieve_upto(n)
+        m, v = len(vectors) - 1, vectors[-1]
+        if len(vectors) == _FACTORIAL_MEMO_SIZE:
+            # a plain loop: a comprehension here would make n a cell
+            # variable, which every call, the memo hits too, would pay for
+            for k in _above_memo:
+                if m < k <= n:
+                    m = k
+            v = _above_memo.get(m, v)
+        for m in range(m + 1, n + 1):
+            k = m
+            while k > 1:
+                p = lpf[k]
+                v += 1 << offset[p]
+                k //= p
+            if m < _FACTORIAL_MEMO_SIZE:
+                vectors.append(v)
+        if n >= _FACTORIAL_MEMO_SIZE:
+            _above_memo.pop(n, None)
+            _above_memo[n] = v
+            if len(_above_memo) > _ABOVE_MEMO_KEEP:
+                del _above_memo[next(iter(_above_memo))]
+    return v

@@ -83,6 +83,22 @@ class IncidenceStructure:
         self.point_labels = MappingProxyType(dict(point_labels or {}))
         self.line_labels = MappingProxyType(dict(line_labels or {}))
 
+    def __eq__(self, other):
+        if not isinstance(other, IncidenceStructure):
+            return NotImplemented
+        return (self.points == other.points and self.lines == other.lines
+                and self.incidence == other.incidence
+                and self.point_labels == other.point_labels
+                and self.line_labels == other.line_labels)
+
+    def __hash__(self):
+        return hash((self.points, self.lines, self.incidence))
+
+    def __reduce__(self):
+        # the tag proxies do not pickle; the constructor wraps plain dicts
+        return (type(self), (self.points, self.lines, self.incidence,
+                             dict(self.point_labels), dict(self.line_labels)))
+
     def lines_through(self, p) -> tuple:
         return tuple(l for l in self.lines if (p, l) in self.incidence)
 
@@ -241,6 +257,19 @@ class SimplicialComplex4:
         self.tetra_labels = MappingProxyType(
             {tet: i + 1 for i, tet in enumerate(self.tetrahedra)})
         self._edge_of_label = {t: e for e, t in self.edge_labels.items()}
+
+    # every instance is the one 4-simplex on vertices 1..5, so all are
+    # equal, and a copy or an unpickled one is built afresh
+    def __eq__(self, other):
+        if not isinstance(other, SimplicialComplex4):
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(self.vertices)
+
+    def __reduce__(self):
+        return (SimplicialComplex4, ())
 
     def f_vector(self) -> tuple[int, int, int, int]:
         return (len(self.vertices), len(self.edges),

@@ -22,7 +22,7 @@ the reference for the reduced (n, d) of spinnet.kernel._zsum.
 legendre_triangle_sqrt (the kernel's former triangle coefficients, a
 fresh prime sieve and Legendre's formula per call),
 legendre_factorial_exponents and legendre_prefactor_denominator check
-the packed factorial exponent vectors of spinnet.exactnum the same way.
+the packed factorial exponent vectors of spinnet.kernel the same way.
 
 Old-path references keep a former production path, to be compared with
 the one that replaced it; they share the rest of the library.  Those
@@ -38,7 +38,7 @@ the three pairs and the phase read at each x, as the reference for the
 inline range and flipped sign of spinnet.identities._be_sides.  The
 others read no value.  gcd_prefactor_triple is the large path's former
 prefactor step: from the unreduced n it reads the prefactor's and the
-triangle part's exponents off exactnum's packed factorial vectors one
+triangle part's exponents off the kernel's packed factorial vectors one
 prime at a time, builds the numerator and denominator prime powers
 with balanced products and reduces by gcd(n, denominator), as the
 reference for the signed exponent vector and bit planes of
@@ -71,13 +71,13 @@ from functools import lru_cache
 from math import factorial, gcd, isqrt
 
 from spinnet.exactnum import (SqrtRational, _product, _reduce, _sum,
-                              factorial_exponents, factorial_primes,
                               phase_from_twice)
 from spinnet.errors import (IncompatibleRadicands, MissingSymbol,
                             PhaseParityError, TriadViolation)
 from spinnet.labeling import (DESARGUES, LINE_SYMBOLS, POINT_TRIADS, SYMBOLS,
                               DesarguesSpinLabeling)
 from spinnet.identities import BE_SYMBOL_NAMES, X_FREE_TRIADS
+from spinnet.kernel import factorial_exponents, factorial_primes
 from spinnet.wigner import (_sixj_cached, admissible_x_twice,
                             invalid_triads_twice, sixj_value_twice,
                             triad_valid_twice)

@@ -249,6 +249,7 @@ def test_criterion_09_labeling_transfer():
 
 
 def test_network_amplitude_matches_the_split_product():
+    """Oracle tier (tests/oracles.py): old-path reference on kernel values."""
     # the former path: the five symbol values multiplied one by one,
     # each product renormalised by factoring its radicand
     labelings = all_valid_labelings()
@@ -295,6 +296,7 @@ def test_network_amplitude_s5_invariance():
 
 
 def test_criterion_10_oracle_equivalence():
+    """Oracle tier (tests/oracles.py): independent oracle."""
     symbols = all_valid_sixj(4)
     for t in symbols:
         assert sixj_value_twice(t) == sixj_via_threej(t), t

@@ -11,16 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinnet import exactnum
+from spinnet import exactnum, kernel
 from spinnet.errors import IncompatibleRadicands, InvalidSpin, PhaseParityError
 from spinnet.exactnum import (
     Spin,
     SqrtRational,
-    factorial_exponents,
-    factorial_primes,
     phase_from_twice,
     square_free_split,
 )
+from spinnet.kernel import factorial_exponents, factorial_primes
 from spinnet.wigner import SixJ, sixj_value_twice
 
 from oracles import legendre_factorial_exponents
@@ -304,7 +303,10 @@ def test_gcd_rule_matches_split_construction(c1, r1, c2, r2):
 
 
 class TestFactorialExponents:
-    """Packed prime-exponent vectors of n!, field i the i-th prime's."""
+    """Packed prime-exponent vectors of n!, field i the i-th prime's.
+
+    Oracle tier (tests/oracles.py): independent oracle.
+    """
 
     def test_matches_legendre(self):
         for n in (0, 1, 2, 3, 10, 97, 360, 1801):
@@ -319,22 +321,22 @@ class TestFactorialExponents:
             assert v == 0 and out == math.factorial(n)
 
     def test_cap_does_not_change_values(self):
-        size = exactnum._FACTORIAL_MEMO_SIZE
+        size = kernel._FACTORIAL_MEMO_SIZE
         for k in (0, 1, 7):
             assert (factorial_exponents(size + k)
                     == legendre_factorial_exponents(size + k))
-        assert len(exactnum._factorial_exponents) <= size
+        assert len(kernel._factorial_exponents) <= size
         # the sieve behind the memo is kept past it, so a larger
         # argument does not sieve again
-        assert len(exactnum._sieve[0]) > size + 7
+        assert len(kernel._sieve[0]) > size + 7
 
     def test_vectors_above_the_memo_are_built_on(self, monkeypatch):
         # an argument above the memo is built on from the nearest kept
         # vector at or below it; the sieve lookups of arguments >= size
         # count the factorizations
-        size = exactnum._FACTORIAL_MEMO_SIZE
+        size = kernel._FACTORIAL_MEMO_SIZE
         factorial_exponents(size - 1)
-        lpf, primes, offset = exactnum._sieve_upto(size + 400)
+        lpf, primes, offset = kernel._sieve_upto(size + 400)
         looked_up = []
 
         class Counting(list):
@@ -344,17 +346,17 @@ class TestFactorialExponents:
                 return list.__getitem__(self, k)
 
         table = Counting(lpf), primes, offset
-        monkeypatch.setattr(exactnum, "_sieve_upto", lambda n: table)
-        monkeypatch.setattr(exactnum, "_above_memo", {})
+        monkeypatch.setattr(kernel, "_sieve_upto", lambda n: table)
+        monkeypatch.setattr(kernel, "_above_memo", {})
         for n, built in ((size + 100, 101), (size + 50, 51),
                          (size + 120, 20), (size + 100, 0)):
             looked_up.clear()
             assert factorial_exponents(n) == legendre_factorial_exponents(n)
             assert len(looked_up) == built, n
-        keep = exactnum._ABOVE_MEMO_KEEP
+        keep = kernel._ABOVE_MEMO_KEEP
         for i in range(keep):
             factorial_exponents(size + 200 + i)
-        assert list(exactnum._above_memo) == [
+        assert list(kernel._above_memo) == [
             size + 200 + i for i in range(keep)]
 
     def test_negative(self):
@@ -366,8 +368,8 @@ class TestFactorialExponents:
         # lost or doubled append would shift every later entry
         top = 3000
         expected = [legendre_factorial_exponents(n) for n in range(top + 1)]
-        monkeypatch.setattr(exactnum, "_factorial_exponents", [0, 0])
-        monkeypatch.setattr(exactnum, "_sieve", ([0, 1], [], {}))
+        monkeypatch.setattr(kernel, "_factorial_exponents", [0, 0])
+        monkeypatch.setattr(kernel, "_sieve", ([0, 1], [], {}))
         start = threading.Barrier(4)
         results = []
 
@@ -386,16 +388,16 @@ class TestFactorialExponents:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert exactnum._factorial_exponents == expected
+        assert kernel._factorial_exponents == expected
         assert results == [expected] * 4
 
     def test_concurrent_above_the_memo(self, monkeypatch):
         # four threads ask for arguments above the memo in different
         # orders; each is built on from a kept vector, and a vector kept
         # under the wrong n would shift every value built on it
-        size = exactnum._FACTORIAL_MEMO_SIZE
+        size = kernel._FACTORIAL_MEMO_SIZE
         factorial_exponents(size - 1)
-        monkeypatch.setattr(exactnum, "_above_memo", {})
+        monkeypatch.setattr(kernel, "_above_memo", {})
         ns = [size + k for k in range(0, 400, 13)]
         expected = {n: legendre_factorial_exponents(n) for n in ns}
         start = threading.Barrier(4)
@@ -418,7 +420,7 @@ class TestFactorialExponents:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * 4
-        assert len(exactnum._above_memo) == exactnum._ABOVE_MEMO_KEEP
+        assert len(kernel._above_memo) == kernel._ABOVE_MEMO_KEEP
 
 
 class TestPhase:

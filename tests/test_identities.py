@@ -390,6 +390,11 @@ def _same(res, lhs, rhs):
 
 @pytest.mark.usefixtures("checked_lookups")
 class TestOldPathDifferential:
+    """The identity sums against the former split-radicand sums.
+
+    Oracle tier (tests/oracles.py): old-path reference on kernel values.
+    """
+
     @_differential
     @given(orthogonality_tuples())
     def test_orthogonality(self, t):
@@ -582,7 +587,10 @@ def _same_as_slot_table(tuples):
 
 class TestFixedTriadsAgainstTheSlotTable:
     """BEInstance's inline triad test against the former slot-table pass
-    (tests/oracles.py)."""
+    (tests/oracles.py).
+
+    Oracle tier: old-path reference, reading no value.
+    """
 
     def test_every_tuple_up_to_twice_3(self):
         assert _same_as_slot_table(product(range(4), repeat=9)) == \
@@ -604,7 +612,10 @@ class TestFixedTriadsAgainstTheSlotTable:
 
 class TestXSumAgainstTheAdmissibleRange:
     """_be_sides's inline x-range and flipped sign against the former sum
-    over admissible_x_twice (tests/oracles.py)."""
+    over admissible_x_twice (tests/oracles.py).
+
+    Oracle tier: old-path reference on kernel values.
+    """
 
     def test_every_grid_tuple_to_twice_5(self):
         for t in iter_be_grid(5):
@@ -665,7 +676,10 @@ class TestBEGridChecks:
 
 
 class TestBEGridRanges:
-    """iter_be_grid against the former loops with triad calls on each r."""
+    """iter_be_grid against the former loops with triad calls on each r.
+
+    Oracle tier (tests/oracles.py): old-path reference, reading no value.
+    """
 
     @pytest.mark.parametrize("max_twice", range(7))
     def test_same_sequence_as_triad_calls(self, max_twice):

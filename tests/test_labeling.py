@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -230,7 +231,10 @@ def _outcome(label, spins):
 
 
 class TestSlotTableAgainstTriadCalls:
-    """label_desargues against the former one-call-per-triad check."""
+    """label_desargues against the former one-call-per-triad check.
+
+    Oracle tier (tests/oracles.py): old-path reference, reading no value.
+    """
 
     SPINS = [Spin(t) for t in range(7)]
 
@@ -255,7 +259,10 @@ class TestSlotTableAgainstTriadCalls:
 
 
 class TestDeferredReport:
-    """A rejection's report is built on first read, once."""
+    """A rejection's report is built on first read, once.
+
+    Oracle tier (tests/oracles.py): old-path reference, reading no value.
+    """
 
     # fails at (12), (13) and (23)
     SPINS = dict(zip(SYMBOLS, map(Spin, (0, 0, 0, 0, 1, 1, 0, 1, 1, 3))))
@@ -396,6 +403,36 @@ class TestTransfer:
         assert str(err.value) == "face triads fail at <123>"
         assert err.value.violations == (
             ("<123>", (), (Spin(0), Spin(0), Spin(2))),)
+
+
+class TestLabelingsByValue:
+    """Labelings pickle, deep-copy and convert through dataclasses."""
+
+    def labelings(self):
+        spins = constant_map(2)
+        spins["x"] = Spin(4)
+        spins["p"] = Spin(4)
+        lab = label_desargues(spins)
+        return lab, transfer_labeling(lab, the_complex())
+
+    @pytest.mark.parametrize("copier", [
+        lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy])
+    def test_copies_equal_the_original(self, copier):
+        for rec in self.labelings():
+            back = copier(rec)
+            assert type(back) is type(rec) and back == rec
+            assert vars(back) == vars(rec)
+        lab, simplex = map(copier, self.labelings())
+        assert network_amplitude(lab) == network_amplitude(
+            self.labelings()[0])
+        assert transfer_labeling(lab, simplex.complex4) == simplex
+
+    def test_asdict_and_astuple(self):
+        for rec in self.labelings():
+            names = [f.name for f in dataclasses.fields(rec)]
+            values = dataclasses.astuple(rec)
+            assert values == tuple(getattr(rec, n) for n in names)
+            assert dataclasses.asdict(rec) == dict(zip(names, values))
 
 
 class TestAmplitude:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -6,6 +8,7 @@ from spinnet.errors import MalformedLabels
 from spinnet.projective import (
     ConfigurationSignature,
     IncidenceStructure,
+    SimplicialComplex4,
     build_desargues,
     build_quadrangle,
     canonical_form,
@@ -67,6 +70,24 @@ class TestStructureBasics:
         assert again.incidence == d.incidence
         assert again.point_labels == d.point_labels
         assert isomorphic(d, again)
+
+    def test_equal_by_value(self):
+        d = build_desargues()
+        again = IncidenceStructure.from_json_dict(d.to_json_dict())
+        assert again is not d and again == d and hash(again) == hash(d)
+        assert d != plane_dual(d) and d != triangle() and d != object()
+        retagged = IncidenceStructure(d.points, d.lines, d.incidence,
+                                      d.point_labels, {})
+        assert retagged != d
+
+    def test_pickles_and_copies_by_value(self):
+        d = build_desargues()
+        for back in (pickle.loads(pickle.dumps(d)), copy.copy(d),
+                     copy.deepcopy(d)):
+            assert type(back) is IncidenceStructure and back == d
+            assert dict(back.point_labels) == dict(d.point_labels)
+            with pytest.raises(TypeError):
+                back.line_labels[0] = "[12]"
 
     def test_dot_modes(self):
         d = build_desargues()
@@ -203,6 +224,21 @@ class TestSpaceDual:
                                     labels, d.line_labels)
         with pytest.raises(MalformedLabels):
             space_dual_desargues(broken)
+
+
+class TestSimplexValue:
+    def test_every_instance_is_equal(self):
+        c = space_dual_desargues(build_desargues())
+        fresh = SimplicialComplex4()
+        assert fresh is not c and fresh == c and hash(fresh) == hash(c)
+        assert c != build_desargues() and c != object()
+
+    def test_pickles_and_copies_to_an_equal_complex(self):
+        c = SimplicialComplex4()
+        for back in (pickle.loads(pickle.dumps(c)), copy.copy(c),
+                     copy.deepcopy(c)):
+            assert type(back) is SimplicialComplex4 and back == c
+            assert back.edge_by_label("[45]") == frozenset({4, 5})
 
 
 class TestCrossSection:

@@ -219,8 +219,8 @@ def test_pickle_and_copies(case):
     for fn in (copy.copy, copy.deepcopy):
         assert same_copy(fn, rec) == same_copy(fn, tw)
     # a twin, found under the record's name, does not pickle; every
-    # record that deep-copies pickles to an equal record with the same
-    # dict, and the labelings' mapping proxies stop both alike
+    # record pickles, as it deep-copies, to an equal record with the
+    # same dict
     assert same_copy(lambda o: pickle.loads(pickle.dumps(o)), rec) == \
         same_copy(copy.deepcopy, rec)
     assert "__slots__" not in vars(type(rec))

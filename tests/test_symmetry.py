@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinnet.errors import UnrealizableQuadrangle
+from spinnet.errors import NegativeSpinAfterTransform, UnrealizableQuadrangle
 from spinnet.exactnum import Spin
 from spinnet.symmetry import (
     CanonicalQuadruple,
@@ -127,6 +127,60 @@ class TestReggeTransform:
         for t in iter_valid_sixj(4):
             s = SixJ.from_twice(t)
             assert sixj_value(regge_transform(s)) == sixj_value(s)
+
+
+def _first_bad_entry(m, t):
+    """(slot, doubled entry) of the first image entry of t under m that
+    is odd or negative, or None when every entry is a twice-value."""
+    for i, row in enumerate(m):
+        v = sum(c * e for c, e in zip(row, t))
+        if v % 2 or v < 0:
+            return i, v
+    return None
+
+
+def _raised(t):
+    """{element: (slot, doubled entry, message)} over the elements whose
+    image of t is not a spin tuple; every other element maps t."""
+    out = {}
+    for g in symmetry_group():
+        bad = _first_bad_entry(g.matrix2, t)
+        if bad is None:
+            assert len(g.apply_twice(t)) == 6
+            continue
+        with pytest.raises(NegativeSpinAfterTransform) as err:
+            g.apply_twice(t)
+        out[g] = (*bad, str(err.value))
+    return out
+
+
+class TestImageNotASpin:
+    """apply_twice rejects an image entry that is negative or odd."""
+
+    def test_a_negative_image(self):
+        # (ady) = (4, 0, 0) fails, so no symbol has these entries
+        raised = _raised((4, 0, 4, 0, 0, 0))
+        assert len(raised) == 96
+        assert all(v < 0 and v % 2 == 0 for _, v, _ in raised.values())
+
+    def test_a_half_integer_image(self):
+        # (abx) = (1, 2, 0) has an odd perimeter, so a Regge image entry
+        # such as (b + c + d - a)/2 is half an odd number, not a
+        # twice-value
+        raised = _raised((1, 2, 0, 2, 2, 0))
+        assert len(raised) == 96
+        assert all(v % 2 for _, v, _ in raised.values())
+        assert sum(v > 0 for _, v, _ in raised.values()) == 84
+        assert {g.regge_component for g in raised} == {1, 2, 3, 4, 5}
+
+    def test_the_message_names_the_slot(self):
+        slots = set()
+        for t in ((4, 0, 4, 0, 0, 0), (1, 2, 0, 2, 2, 0)):
+            for slot, v, message in _raised(t).values():
+                assert message == (
+                    f"symmetry image of {t} has entry {v}/2 at slot {slot}")
+                slots.add(slot)
+        assert slots == set(range(6))
 
 
 class TestOrbit:

@@ -23,7 +23,7 @@ from oracles import (
     sixj_via_threej,
     unreduced_zsum,
 )
-from spinnet import exactnum, kernel, wigner
+from spinnet import kernel, wigner
 from spinnet.errors import InvalidSpin, InvalidTriads
 from spinnet.exactnum import Spin, SqrtRational
 from spinnet.wigner import (
@@ -102,6 +102,13 @@ def _sq(t):
 
 
 class TestSixJValue:
+    """Values pinned by hand and against the oracles.
+
+    Oracle tiers (tests/oracles.py): independent oracle (the 3j
+    contraction and the one-zero closed form) and old-path reference on
+    kernel values (sixj_or_zero_twice).
+    """
+
     def test_all_zero(self):
         assert sixj_value(_sq((0,) * 6)) == SqrtRational(1)
 
@@ -210,7 +217,10 @@ def _near_regular(rng, twice, count):
 
 class TestTriangleSqrt:
     """The kernel's (den, rad) of the four triangle coefficients, read off
-    packed factorial exponent vectors, against Legendre's formula."""
+    packed factorial exponent vectors, against Legendre's formula.
+
+    Oracle tier (tests/oracles.py): independent oracle.
+    """
 
     @staticmethod
     def assert_matches_legendre(symbols):
@@ -241,7 +251,7 @@ class TestTriangleSqrt:
 
     def test_past_the_memo_cap(self):
         t = (6700,) * 6
-        assert 3 * 6700 // 2 + 1 >= exactnum._FACTORIAL_MEMO_SIZE
+        assert 3 * 6700 // 2 + 1 >= kernel._FACTORIAL_MEMO_SIZE
         self.assert_matches_legendre([t])
 
 
@@ -310,7 +320,11 @@ def _seeded_200_to_4000():
 class TestLargePath:
     """The kernel's large path, binary splitting of the z-sum and the
     prefactor read off packed exponent vectors, against the Horner z-sum
-    with the multiplied-out factorial prefactor: equal triples."""
+    with the multiplied-out factorial prefactor: equal triples.
+
+    Oracle tiers (tests/oracles.py): independent oracle (the Horner z-sum)
+    and identity checker (the Racah sum and the column recurrence).
+    """
 
     def test_every_symbol_to_twice_10(self):
         count = zeros = 0
@@ -418,7 +432,10 @@ class TestLargePath:
 class TestReducedZsum:
     """The large path's z-sum cancels a common factor at every merge:
     its (n, d) is the unreduced binary-split n over the full
-    Q = prod_i (zmax-a_i)!/(zmin-a_i)!, and d divides Q."""
+    Q = prod_i (zmax-a_i)!/(zmin-a_i)!, and d divides Q.
+
+    Oracle tier (tests/oracles.py): independent oracle.
+    """
 
     @staticmethod
     def assert_matches_unreduced(symbols):
@@ -442,7 +459,12 @@ class TestReducedZsum:
 class TestPrefactorAgainstTheGcdPath:
     """The large path, a reduced z-sum and one signed exponent vector read
     by bit planes, against the former per-prime loop, balanced products
-    and gcd on the unreduced z-sum: equal triples."""
+    and gcd on the unreduced z-sum: equal triples.
+
+    Oracle tiers (tests/oracles.py): old-path reference, reading no
+    value (the gcd path, which reads the kernel's packed vectors), and
+    independent oracle (the unreduced z-sum and Legendre's denominator).
+    """
 
     @staticmethod
     def assert_matches_gcd_path(symbols):
@@ -484,7 +506,10 @@ class TestReggeArray:
     """Below sixj_raw the kernel reads only the Regge array (a, b), whose
     a_i and b_j the 144 symmetries permute: the large path and the
     triangle part give sixj_raw's value and Legendre's (den, rad) on
-    shuffles of a and b."""
+    shuffles of a and b.
+
+    Oracle tier (tests/oracles.py): independent oracle.
+    """
 
     SHUFFLES = list(product(permutations(range(4)), permutations(range(3))))
 
@@ -522,7 +547,10 @@ def _thin_with_steps(twice, s):
 class TestThinAboveTheMemo:
     """Symbols with few steps whose zmin + 1 lies past the exponent-vector
     memo take the large path, as every symbol with zmin >= _LARGE_ZMIN
-    does; their triples equal the Horner reference."""
+    does; their triples equal the Horner reference.
+
+    Oracle tier (tests/oracles.py): independent oracle.
+    """
 
     @pytest.mark.parametrize("twice", [9998, 10001, 12000])
     @pytest.mark.parametrize("steps", [0, 1, 2, 99])
@@ -540,7 +568,7 @@ class TestThinAboveTheMemo:
         # it, and both on the large path
         below = (9998, 9998, 0, 9998, 9998, 0)
         at = (9998, 9998, 2, 9998, 9998, 2)
-        assert exactnum._FACTORIAL_MEMO_SIZE == 10_000
+        assert kernel._FACTORIAL_MEMO_SIZE == 10_000
         for t in (below, at):
             assert kernel.sixj_raw(*t) == horner_sixj_raw(*t), t
         assert ran == [_racah_args(below), _racah_args(at)]
@@ -567,7 +595,10 @@ class TestSchultenGordonOracle:
     """Kernel values on three orbits, at x - 1, x and x + 1 of a column,
     satisfy the three-term recurrence exactly: an oracle independent of
     the Racah sum, at spins the 3j contraction cannot reach.  Each value
-    must first give back a rational Racah sum."""
+    must first give back a rational Racah sum.
+
+    Oracle tier (tests/oracles.py): identity checker.
+    """
 
     def test_every_interior_point_to_twice_6(self):
         count = 0
@@ -623,7 +654,7 @@ class TestSchultenGordonOracle:
         ran = []
         monkeypatch.setattr(kernel, "_sixj_large",
                             lambda *t: ran.append(t) or large(*t))
-        assert exactnum._FACTORIAL_MEMO_SIZE == 10_000
+        assert kernel._FACTORIAL_MEMO_SIZE == 10_000
         assert _column_residual(t) == 0
         assert len(ran) == 3
 
@@ -673,7 +704,11 @@ def _thin_one_small(rng, twice):
 class TestAcrossTheZminSwitch:
     """Seeded symbols of four shapes with zmin within 40 of _LARGE_ZMIN,
     on both sides of it: each takes the path its zmin names, equals the
-    Horner reference, and satisfies the column recurrence."""
+    Horner reference, and satisfies the column recurrence.
+
+    Oracle tiers (tests/oracles.py): independent oracle (the Horner z-sum)
+    and identity checker (the Racah sum and the column recurrence).
+    """
 
     SHAPES = {
         "near-regular": lambda rng, z: _near_regular(rng, 2 * z // 3, 1)[0],
@@ -733,7 +768,10 @@ class TestOneStepZeros:
     cancel: (u1 + u2 + u3 + v2 + v3) v2 v3 = u1 u2 u3.  Solving for u3
     gives exact zeros at any size, far beyond every acceptance grid; the
     neighbours u3 - 1 and u3 + 1 are not zeros.  All take the large
-    path."""
+    path.
+
+    Oracle tier (tests/oracles.py): independent oracle.
+    """
 
     # (u1, u2, v2, v3); zmin from 310 to 9761201
     SEEDS = [(12, 13, 11, 12), (9, 59, 27, 17), (49, 22, 33, 31),
@@ -867,7 +905,10 @@ class TestDimensionWeight:
 
 
 class TestKernelParity:
-    """The nested (Horner) z-sum against the term-by-term direct sum."""
+    """The nested (Horner) z-sum against the term-by-term direct sum.
+
+    Oracle tier (tests/oracles.py): independent oracle.
+    """
 
     @staticmethod
     def assert_matches_direct_sum(t):
